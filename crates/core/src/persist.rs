@@ -29,8 +29,10 @@
 //! [`FittedModel::predict`] is **bit-identical** across the round trip.
 //!
 //! Every failure mode is a typed [`PersistError`] (surfaced as
-//! [`SbrlError::Persist`]); the reader never panics and never trusts a
-//! length field before bounds-checking it against the remaining bytes.
+//! [`SbrlError::Persist`]). Decoding goes through the bounds-checked reader
+//! of [`codec`](crate::codec), shared with the wire protocol: it never
+//! panics and never trusts a length field before bounds-checking it against
+//! the remaining bytes (enforced by the `untrusted_reader` lint rule).
 //! Integrity is belt-and-braces: a trailing CRC-32 over the whole prefix
 //! rejects random corruption before section parsing even starts, and the
 //! section parsers re-validate structure for crafted inputs that keep the
@@ -55,6 +57,7 @@ use sbrl_stats::IpmKind;
 use sbrl_tensor::kernels::NumericsMode;
 use sbrl_tensor::rng::rng_from_seed;
 
+use crate::codec::{crc32, put_f64, put_f64s, put_u32, put_u64, ByteReader, CodecError};
 use crate::config::Framework;
 use crate::error::{NonFiniteTerm, SbrlError};
 use crate::estimator::INIT_SEED_SALT;
@@ -199,22 +202,15 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-// ---------------------------------------------------------------------------
-// Checksum
-// ---------------------------------------------------------------------------
-
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xedb88320`) — the PNG/zlib
-/// checksum, hand-rolled bitwise so the format stays dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+impl From<CodecError> for PersistError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { context, needed, available } => {
+                PersistError::Truncated { section: context, needed, available }
+            }
+            CodecError::Malformed(what) => PersistError::Malformed { what },
         }
     }
-    !crc
 }
 
 // ---------------------------------------------------------------------------
@@ -312,42 +308,13 @@ fn term_from_byte(b: u8) -> Result<NonFiniteTerm, PersistError> {
     }
 }
 
-fn bool_from_byte(b: u8, what: &str) -> Result<bool, PersistError> {
-    match b {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(malformed(format!("{what}: boolean byte must be 0 or 1, got {b}"))),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
+/// `.sbrl` stores every count and length as a `u64`.
 fn put_usize(buf: &mut Vec<u8>, v: usize) {
     put_u64(buf, v as u64);
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64s(buf: &mut Vec<u8>, xs: &[f64]) {
-    for &x in xs {
-        put_f64(buf, x);
-    }
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
@@ -363,13 +330,13 @@ fn put_section(out: &mut Vec<u8>, tag: &[u8; 4], payload: &[u8]) {
 
 fn encode_ipm(buf: &mut Vec<u8>, ipm: IpmKind) {
     match ipm {
-        IpmKind::MmdLin => put_u8(buf, 0),
+        IpmKind::MmdLin => buf.push(0),
         IpmKind::MmdRbf { sigma } => {
-            put_u8(buf, 1);
+            buf.push(1);
             put_f64(buf, sigma);
         }
         IpmKind::Wasserstein { lambda, iterations } => {
-            put_u8(buf, 2);
+            buf.push(2);
             put_f64(buf, lambda);
             put_usize(buf, iterations);
         }
@@ -382,24 +349,24 @@ fn encode_arch(buf: &mut Vec<u8>, arch: &TarnetConfig) {
     put_usize(buf, arch.rep_width);
     put_usize(buf, arch.head_layers);
     put_usize(buf, arch.head_width);
-    put_u8(buf, u8::from(arch.batch_norm));
-    put_u8(buf, u8::from(arch.rep_normalization));
+    buf.push(u8::from(arch.batch_norm));
+    buf.push(u8::from(arch.rep_normalization));
 }
 
 fn encode_backbone_config(buf: &mut Vec<u8>, cfg: &BackboneConfig) {
     match cfg {
         BackboneConfig::Tarnet(c) => {
-            put_u8(buf, 0);
+            buf.push(0);
             encode_arch(buf, c);
         }
         BackboneConfig::Cfr(c) => {
-            put_u8(buf, 1);
+            buf.push(1);
             encode_arch(buf, &c.arch);
             put_f64(buf, c.alpha);
             encode_ipm(buf, c.ipm);
         }
         BackboneConfig::DerCfr(c) => {
-            put_u8(buf, 2);
+            buf.push(2);
             encode_arch(buf, &c.arch);
             put_f64(buf, c.alpha);
             put_f64(buf, c.beta);
@@ -413,11 +380,12 @@ fn encode_backbone_config(buf: &mut Vec<u8>, cfg: &BackboneConfig) {
 fn encode<B: Backbone>(m: &FittedModel<B>, version: u32) -> Vec<u8> {
     let config = m.model().export_config();
 
-    let mut meta = Vec::new();
-    put_u8(&mut meta, kind_byte(config.kind()));
-    put_u8(&mut meta, framework_byte(m.framework()));
-    put_u8(&mut meta, numerics_byte(m.numerics()));
-    put_u8(&mut meta, loss_byte(m.loss_kind()));
+    let mut meta = vec![
+        kind_byte(config.kind()),
+        framework_byte(m.framework()),
+        numerics_byte(m.numerics()),
+        loss_byte(m.loss_kind()),
+    ];
     put_u64(&mut meta, m.seed());
 
     let mut bcfg = Vec::new();
@@ -445,12 +413,12 @@ fn encode<B: Backbone>(m: &FittedModel<B>, version: u32) -> Vec<u8> {
     let mut scal = Vec::new();
     match m.scaler() {
         Some(s) => {
-            put_u8(&mut scal, 1);
+            scal.push(1);
             put_usize(&mut scal, s.means().len());
             put_f64s(&mut scal, s.means());
             put_f64s(&mut scal, s.stds());
         }
-        None => put_u8(&mut scal, 0),
+        None => scal.push(0),
     }
     let (y_shift, y_scale) = m.y_transform();
     put_f64(&mut scal, y_shift);
@@ -494,16 +462,16 @@ fn encode<B: Backbone>(m: &FittedModel<B>, version: u32) -> Vec<u8> {
         put_f64(&mut fitr, fit.policy.grad_clip_escalation);
         match fit.time_budget {
             Some(budget) => {
-                put_u8(&mut fitr, 1);
+                fitr.push(1);
                 put_u64(&mut fitr, budget.as_secs());
                 put_u32(&mut fitr, budget.subsec_nanos());
             }
-            None => put_u8(&mut fitr, 0),
+            None => fitr.push(0),
         }
         put_usize(&mut fitr, fit.recoveries.len());
         for ev in &fit.recoveries {
             put_usize(&mut fitr, ev.iteration);
-            put_u8(&mut fitr, term_byte(ev.term));
+            fitr.push(term_byte(ev.term));
             put_usize(&mut fitr, ev.retry);
             put_usize(&mut fitr, ev.rolled_back_to);
             put_f64(&mut fitr, ev.lr);
@@ -524,145 +492,39 @@ fn encode<B: Backbone>(m: &FittedModel<B>, version: u32) -> Vec<u8> {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// A bounds-checked cursor over untrusted bytes: every read goes through
-/// [`Reader::take`], which validates length *before* touching the data, so
-/// the decode path cannot panic and cannot allocate from an unvalidated
-/// length field.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
+/// Reads a `u64` scalar or length (the `.sbrl` width) as `usize`.
+fn usize_val(r: &mut ByteReader<'_>) -> Result<usize, PersistError> {
+    let raw = r.u64()?;
+    usize::try_from(raw)
+        .map_err(|_| malformed(format!("value {raw} exceeds this platform's usize")))
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], section: &'static str) -> Self {
-        Reader { buf, pos: 0, section }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| malformed(format!("length overflow in section {}", self.section)))?;
-        match self.buf.get(self.pos..end) {
-            Some(slice) => {
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(PersistError::Truncated {
-                section: self.section,
-                needed: n,
-                available: self.remaining(),
-            }),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, PersistError> {
-        let bytes = self.take(1)?;
-        bytes.first().copied().ok_or_else(|| malformed("empty take(1)"))
-    }
-
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        let mut a = [0u8; 4];
-        a.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(a))
-    }
-
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f64(&mut self) -> Result<f64, PersistError> {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(self.take(8)?);
-        Ok(f64::from_le_bytes(a))
-    }
-
-    /// Reads a plain `u64` scalar (an iteration number, a retry count) as
-    /// `usize` — no remaining-bytes bound, because nothing follows it.
-    fn usize_val(&mut self) -> Result<usize, PersistError> {
-        let raw = self.u64()?;
-        usize::try_from(raw)
-            .map_err(|_| malformed(format!("value {raw} exceeds this platform's usize")))
-    }
-
-    /// Reads a `u64` count and validates that `count * elem_bytes` elements
-    /// could still fit in the remaining buffer — the OOM guard that makes a
-    /// corrupted length field a [`PersistError::Truncated`], not a
-    /// multi-gigabyte allocation.
-    fn count(&mut self, elem_bytes: usize) -> Result<usize, PersistError> {
-        let count = self.usize_val()?;
-        let needed = count.checked_mul(elem_bytes.max(1)).ok_or_else(|| {
-            malformed(format!("count {count} overflows in section {}", self.section))
-        })?;
-        if needed > self.remaining() {
-            return Err(PersistError::Truncated {
-                section: self.section,
-                needed,
-                available: self.remaining(),
-            });
-        }
-        Ok(count)
-    }
-
-    fn f64s(&mut self, count: usize) -> Result<Vec<f64>, PersistError> {
-        let needed = count.checked_mul(8).ok_or_else(|| {
-            malformed(format!("f64 count {count} overflows in section {}", self.section))
-        })?;
-        let bytes = self.take(needed)?;
-        let mut out = Vec::with_capacity(count);
-        for chunk in bytes.chunks_exact(8) {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(chunk);
-            out.push(f64::from_le_bytes(a));
-        }
-        Ok(out)
-    }
-
-    fn string(&mut self) -> Result<String, PersistError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| malformed(format!("non-UTF-8 string in section {}", self.section)))
-    }
-
-    /// Reads the `[tag][u64 len]` frame of the next section, validates the
-    /// tag, and returns a sub-reader confined to exactly that payload.
-    fn open_section(
-        &mut self,
-        tag: &[u8; 4],
-        name: &'static str,
-    ) -> Result<Reader<'a>, PersistError> {
-        let found = self.take(4)?;
-        if found != tag {
-            return Err(malformed(format!("expected section {name}, found tag {found:02x?}")));
-        }
-        let len = self.count(1)?;
-        let payload = self.take(len)?;
-        Ok(Reader::new(payload, name))
-    }
-
-    /// Asserts the payload was consumed exactly — extra bytes inside a
-    /// section mean the writer and reader disagree about its layout.
-    fn finish(self) -> Result<(), PersistError> {
-        if self.pos != self.buf.len() {
-            return Err(malformed(format!(
-                "{} trailing bytes in section {}",
-                self.buf.len() - self.pos,
-                self.section
-            )));
-        }
-        Ok(())
-    }
+/// Reads a `u64` element count and validates it against the bytes left.
+fn count(r: &mut ByteReader<'_>, elem_bytes: usize) -> Result<usize, PersistError> {
+    let n = usize_val(r)?;
+    Ok(r.count(n, elem_bytes)?)
 }
 
-fn decode_ipm(r: &mut Reader<'_>) -> Result<IpmKind, PersistError> {
+fn string(r: &mut ByteReader<'_>) -> Result<String, PersistError> {
+    let len = usize_val(r)?;
+    Ok(r.string(len)?)
+}
+
+/// Reads the `[tag][u64 len]` frame of the next section, validates the
+/// tag, and returns a reader confined to exactly that payload.
+fn open_section<'a>(
+    body: &mut ByteReader<'a>,
+    tag: &'static str,
+) -> Result<ByteReader<'a>, PersistError> {
+    let found = body.take(4)?;
+    if found != tag.as_bytes() {
+        return Err(malformed(format!("expected section {tag}, found tag {found:02x?}")));
+    }
+    let len = usize_val(body)?;
+    Ok(ByteReader::new(body.take(len)?, tag))
+}
+
+fn decode_ipm(r: &mut ByteReader<'_>) -> Result<IpmKind, PersistError> {
     match r.u8()? {
         0 => Ok(IpmKind::MmdLin),
         1 => Ok(IpmKind::MmdRbf { sigma: r.f64()? }),
@@ -676,7 +538,7 @@ fn decode_ipm(r: &mut Reader<'_>) -> Result<IpmKind, PersistError> {
     }
 }
 
-fn decode_arch(r: &mut Reader<'_>) -> Result<TarnetConfig, PersistError> {
+fn decode_arch(r: &mut ByteReader<'_>) -> Result<TarnetConfig, PersistError> {
     let dims = [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?];
     let mut it = dims.iter().map(|&v| usize::try_from(v).unwrap_or(usize::MAX));
     let mut next_dim = |what: &str, cap: usize| -> Result<usize, PersistError> {
@@ -694,8 +556,8 @@ fn decode_arch(r: &mut Reader<'_>) -> Result<TarnetConfig, PersistError> {
     if in_dim == 0 {
         return Err(malformed("architecture in_dim must be at least 1"));
     }
-    let batch_norm = bool_from_byte(r.u8()?, "arch.batch_norm")?;
-    let rep_normalization = bool_from_byte(r.u8()?, "arch.rep_normalization")?;
+    let batch_norm = r.bool("arch.batch_norm")?;
+    let rep_normalization = r.bool("arch.rep_normalization")?;
     Ok(TarnetConfig {
         in_dim,
         rep_layers,
@@ -707,7 +569,7 @@ fn decode_arch(r: &mut Reader<'_>) -> Result<TarnetConfig, PersistError> {
     })
 }
 
-fn decode_backbone_config(r: &mut Reader<'_>) -> Result<BackboneConfig, PersistError> {
+fn decode_backbone_config(r: &mut ByteReader<'_>) -> Result<BackboneConfig, PersistError> {
     match r.u8()? {
         0 => Ok(BackboneConfig::Tarnet(decode_arch(r)?)),
         1 => {
@@ -742,7 +604,7 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
 
     // --- Version gate ------------------------------------------------------
     let version = {
-        let mut header = Reader::new(bytes, "header");
+        let mut header = ByteReader::new(bytes, "header");
         let _ = header.take(8)?;
         header.u32()?
     };
@@ -763,20 +625,16 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
         });
     }
     let body_end = bytes.len() - 4;
-    let stored = {
-        let mut a = [0u8; 4];
-        a.copy_from_slice(bytes.get(body_end..).unwrap_or(&[0; 4]));
-        u32::from_le_bytes(a)
-    };
+    let stored = ByteReader::new(bytes.get(body_end..).unwrap_or(&[]), "checksum trailer").u32()?;
     let computed = crc32(bytes.get(..body_end).unwrap_or(&[]));
     if stored != computed {
         return Err(PersistError::ChecksumMismatch { stored, computed });
     }
 
-    let mut body = Reader::new(bytes.get(12..body_end).unwrap_or(&[]), "body");
+    let mut body = ByteReader::new(bytes.get(12..body_end).unwrap_or(&[]), "body");
 
     // --- META --------------------------------------------------------------
-    let mut meta = body.open_section(b"META", "META")?;
+    let mut meta = open_section(&mut body, "META")?;
     let meta_kind = kind_from_byte(meta.u8()?)?;
     let framework = framework_from_byte(meta.u8()?)?;
     let numerics = numerics_from_byte(meta.u8()?)?;
@@ -785,7 +643,7 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     meta.finish()?;
 
     // --- BCFG + provenance cross-check -------------------------------------
-    let mut bcfg = body.open_section(b"BCFG", "BCFG")?;
+    let mut bcfg = open_section(&mut body, "BCFG")?;
     let config = decode_backbone_config(&mut bcfg)?;
     bcfg.finish()?;
     if config.kind() != meta_kind {
@@ -802,10 +660,10 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     let mut model = config.build(&mut init_rng);
 
     // --- PARM --------------------------------------------------------------
-    let mut parm = body.open_section(b"PARM", "PARM")?;
+    let mut parm = open_section(&mut body, "PARM")?;
     let expected: Vec<(sbrl_nn::ParamHandle, String, (usize, usize))> =
         model.store().iter().map(|(h, name, value)| (h, name.to_string(), value.shape())).collect();
-    let stored_params = parm.count(8)?;
+    let stored_params = count(&mut parm, 8)?;
     if stored_params != expected.len() {
         return Err(conflict(format!(
             "artifact stores {stored_params} parameters but the rebuilt {} \
@@ -815,9 +673,9 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
         )));
     }
     for (handle, exp_name, (exp_rows, exp_cols)) in expected {
-        let name = parm.string()?;
-        let rows = parm.count(1)?;
-        let cols = parm.count(1)?;
+        let name = string(&mut parm)?;
+        let rows = count(&mut parm, 1)?;
+        let cols = count(&mut parm, 1)?;
         if name != exp_name || rows != exp_rows || cols != exp_cols {
             return Err(conflict(format!(
                 "parameter mismatch: artifact has '{name}' ({rows}x{cols}), \
@@ -833,12 +691,12 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     parm.finish()?;
 
     // --- XTRA --------------------------------------------------------------
-    let mut xtra = body.open_section(b"XTRA", "XTRA")?;
-    let extra_entries = xtra.count(16)?;
+    let mut xtra = open_section(&mut body, "XTRA")?;
+    let extra_entries = count(&mut xtra, 16)?;
     let mut extra: Vec<(String, Vec<f64>)> = Vec::with_capacity(extra_entries);
     for _ in 0..extra_entries {
-        let name = xtra.string()?;
-        let values_len = xtra.count(8)?;
+        let name = string(&mut xtra)?;
+        let values_len = count(&mut xtra, 8)?;
         let values = xtra.f64s(values_len)?;
         extra.push((name, values));
     }
@@ -846,11 +704,11 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     model.import_extra_state(&extra).map_err(conflict)?;
 
     // --- SCAL --------------------------------------------------------------
-    let mut scal = body.open_section(b"SCAL", "SCAL")?;
+    let mut scal = open_section(&mut body, "SCAL")?;
     let scaler = match scal.u8()? {
         0 => None,
         1 => {
-            let dim = scal.count(16)?;
+            let dim = count(&mut scal, 16)?;
             let means = scal.f64s(dim)?;
             let stds = scal.f64s(dim)?;
             Some(Scaler::from_stats(means, stds).ok_or_else(|| {
@@ -882,22 +740,22 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     }
 
     // --- WGHT --------------------------------------------------------------
-    let mut wght = body.open_section(b"WGHT", "WGHT")?;
-    let n_weights = wght.count(8)?;
+    let mut wght = open_section(&mut body, "WGHT")?;
+    let n_weights = count(&mut wght, 8)?;
     let weights = wght.f64s(n_weights)?;
     wght.finish()?;
 
     // --- TREP --------------------------------------------------------------
-    let mut trep = body.open_section(b"TREP", "TREP")?;
-    let iterations_run = trep.usize_val()?;
+    let mut trep = open_section(&mut body, "TREP")?;
+    let iterations_run = usize_val(&mut trep)?;
     let best_val_loss = trep.f64()?;
-    let best_iteration = trep.usize_val()?;
+    let best_iteration = usize_val(&mut trep)?;
     let train_seconds = trep.f64()?;
     let weight_stats = (trep.f64()?, trep.f64()?, trep.f64()?);
-    let curve_len = trep.count(16)?;
+    let curve_len = count(&mut trep, 16)?;
     let mut val_curve = Vec::with_capacity(curve_len);
     for _ in 0..curve_len {
-        let iter = trep.usize_val()?;
+        let iter = usize_val(&mut trep)?;
         let loss = trep.f64()?;
         val_curve.push((iter, loss));
     }
@@ -913,8 +771,8 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
 
     // --- FITR (format version 2+) -------------------------------------------
     let fit_report = if version >= 2 {
-        let mut fitr = body.open_section(b"FITR", "FITR")?;
-        let max_retries = fitr.usize_val()?;
+        let mut fitr = open_section(&mut body, "FITR")?;
+        let max_retries = usize_val(&mut fitr)?;
         let lr_backoff = fitr.f64()?;
         let grad_clip_escalation = fitr.f64()?;
         let policy = RecoveryPolicy { max_retries, lr_backoff, grad_clip_escalation };
@@ -936,13 +794,13 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
                 )))
             }
         };
-        let n_events = fitr.count(41)?;
+        let n_events = count(&mut fitr, 41)?;
         let mut recoveries = Vec::with_capacity(n_events);
         for _ in 0..n_events {
-            let iteration = fitr.usize_val()?;
+            let iteration = usize_val(&mut fitr)?;
             let term = term_from_byte(fitr.u8()?)?;
-            let retry = fitr.usize_val()?;
-            let rolled_back_to = fitr.usize_val()?;
+            let retry = usize_val(&mut fitr)?;
+            let rolled_back_to = usize_val(&mut fitr)?;
             let lr = fitr.f64()?;
             let clip_norm = fitr.f64()?;
             recoveries.push(RecoveryEvent {
@@ -1280,13 +1138,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        // The canonical CRC-32 test vector.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn enum_bytes_round_trip() {
         for kind in BackboneKind::ALL {
             assert_eq!(kind_from_byte(kind_byte(kind)).unwrap(), kind);
@@ -1316,25 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn reader_reports_truncation_with_counts() {
-        let mut r = Reader::new(&[1, 2, 3], "unit");
-        assert_eq!(r.take(2).unwrap(), &[1, 2]);
-        let err = r.take(5).unwrap_err();
-        assert_eq!(err, PersistError::Truncated { section: "unit", needed: 5, available: 1 });
-    }
-
-    #[test]
-    fn reader_count_guards_allocation_against_absurd_lengths() {
-        // A 1 GiB element count inside an 8-byte buffer must become a typed
-        // Truncated error before any allocation happens.
-        let mut buf = Vec::new();
-        put_u64(&mut buf, 1 << 30);
-        let mut r = Reader::new(&buf, "unit");
-        let err = r.count(8).unwrap_err();
-        assert!(matches!(err, PersistError::Truncated { section: "unit", .. }));
-    }
-
-    #[test]
     fn ipm_kinds_round_trip_through_bytes() {
         for ipm in [
             IpmKind::MmdLin,
@@ -1343,7 +1175,7 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             encode_ipm(&mut buf, ipm);
-            let mut r = Reader::new(&buf, "unit");
+            let mut r = ByteReader::new(&buf, "unit");
             assert_eq!(decode_ipm(&mut r).unwrap(), ipm);
             r.finish().unwrap();
         }

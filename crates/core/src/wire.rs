@@ -13,12 +13,13 @@
 //! * `payload_len` is bounded by [`MAX_FRAME_PAYLOAD`] **before** any
 //!   allocation — a corrupted length field is a typed
 //!   [`WireError::FrameTooLarge`], not a multi-gigabyte `Vec`;
-//! * the trailing CRC-32 (same IEEE polynomial as the `.sbrl` format) covers
-//!   header and payload, so a flipped bit anywhere is a typed
-//!   [`WireError::ChecksumMismatch`];
-//! * every decode goes through the bounds-checked `WireReader` cursor —
-//!   the reader is panic- and index-free (enforced by the `wire_reader`
-//!   lint rule), so malformed bytes can produce *only* typed errors.
+//! * the trailing CRC-32 ([`codec::crc32`](crate::codec::crc32), shared with
+//!   the `.sbrl` format) covers header and payload, so a flipped bit
+//!   anywhere is a typed [`WireError::ChecksumMismatch`];
+//! * every decode goes through the bounds-checked reader of
+//!   [`codec`](crate::codec) — it is panic- and index-free (enforced by the
+//!   `untrusted_reader` lint rule), so malformed bytes can produce *only*
+//!   typed errors.
 //!
 //! `f64` payloads travel as little-endian bit patterns, so a served
 //! prediction is **bit-identical** to the in-process result — the socket hop
@@ -41,8 +42,9 @@ use std::time::{Duration, Instant};
 use sbrl_metrics::EffectEstimate;
 use sbrl_tensor::Matrix;
 
+use crate::codec::{crc32, put_f64s, put_u32, put_u64, ByteReader, CodecError};
 use crate::error::SbrlError;
-use crate::persist::{crc32, PersistError};
+use crate::persist::PersistError;
 
 /// First bytes of every frame; `0x89` keeps text protocols out on byte one.
 pub const WIRE_MAGIC: [u8; 4] = [0x89, b'S', b'B', b'W'];
@@ -159,6 +161,17 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { context, needed, available } => {
+                WireError::Truncated { what: context, needed, available }
+            }
+            CodecError::Malformed(what) => WireError::Malformed { what },
+        }
+    }
+}
+
 fn malformed(what: impl Into<String>) -> WireError {
     WireError::Malformed { what: what.into() }
 }
@@ -211,27 +224,12 @@ pub struct HealthReport {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), WireError> {
     let len = u32::try_from(s.len())
         .map_err(|_| malformed(format!("string of {} bytes does not fit a u32", s.len())))?;
     put_u32(out, len);
     out.extend_from_slice(s.as_bytes());
     Ok(())
-}
-
-fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    out.reserve(xs.len() * 8);
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
 }
 
 fn wire_dim(n: usize, what: &'static str) -> Result<u32, WireError> {
@@ -348,119 +346,20 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Decoding: the bounds-checked cursor over untrusted bytes
+// Decoding
 // ---------------------------------------------------------------------------
 
-/// A bounds-checked cursor over untrusted wire bytes; every read validates
-/// length *before* touching data, so the decode path cannot panic and
-/// cannot allocate from an unvalidated length field.
-struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    what: &'static str,
+/// Reads a string behind its `u32` length (the wire width).
+fn string(r: &mut ByteReader<'_>) -> Result<String, WireError> {
+    let len = r.u32()? as usize;
+    Ok(r.string(len)?)
 }
 
-impl<'a> WireReader<'a> {
-    fn new(buf: &'a [u8], what: &'static str) -> Self {
-        WireReader { buf, pos: 0, what }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| malformed(format!("length overflow in {}", self.what)))?;
-        match self.buf.get(self.pos..end) {
-            Some(slice) => {
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(WireError::Truncated {
-                what: self.what,
-                needed: n,
-                available: self.remaining(),
-            }),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let bytes = self.take(1)?;
-        bytes.first().copied().ok_or_else(|| malformed("empty take(1)"))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let mut a = [0u8; 4];
-        a.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(a))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    /// Reads a `u32` element count and validates that `count * elem_bytes`
-    /// bytes are still present — the OOM guard that turns a corrupted count
-    /// into a typed [`WireError::Truncated`], never a huge allocation.
-    fn count(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
-        let count = self.u32()? as usize;
-        let needed = count
-            .checked_mul(elem_bytes.max(1))
-            .ok_or_else(|| malformed(format!("count {count} overflows in {}", self.what)))?;
-        if needed > self.remaining() {
-            return Err(WireError::Truncated {
-                what: self.what,
-                needed,
-                available: self.remaining(),
-            });
-        }
-        Ok(count)
-    }
-
-    fn f64s(&mut self, count: usize) -> Result<Vec<f64>, WireError> {
-        let needed = count
-            .checked_mul(8)
-            .ok_or_else(|| malformed(format!("f64 count {count} overflows in {}", self.what)))?;
-        let bytes = self.take(needed)?;
-        let mut out = Vec::with_capacity(count);
-        for chunk in bytes.chunks_exact(8) {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(chunk);
-            out.push(f64::from_le_bytes(a));
-        }
-        Ok(out)
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| malformed(format!("non-UTF-8 string in {}", self.what)))
-    }
-
-    /// Asserts the buffer was consumed exactly — trailing bytes mean the
-    /// writer and reader disagree about the layout.
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
-            return Err(malformed(format!(
-                "{} trailing bytes after {}",
-                self.buf.len() - self.pos,
-                self.what
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Parses one complete frame (as produced by [`encode_message`]) back into
-/// a [`Message`], validating magic, version, length bound, and CRC.
-pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
-    let mut r = WireReader::new(bytes, "frame header");
+/// Reads and validates a frame header (magic, version, length bound),
+/// returning `(kind, payload_len)`. Both [`decode_message`] and
+/// [`read_message`] gate on it, so a hostile length field is rejected before
+/// any payload buffer is sized.
+fn read_header(r: &mut ByteReader<'_>) -> Result<(u8, usize), WireError> {
     let magic = r.take(4)?;
     if magic != WIRE_MAGIC {
         let mut found = [0u8; 4];
@@ -476,6 +375,14 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
     if len > MAX_FRAME_PAYLOAD {
         return Err(WireError::FrameTooLarge { len, max: MAX_FRAME_PAYLOAD });
     }
+    Ok((kind, len))
+}
+
+/// Parses one complete frame (as produced by [`encode_message`]) back into
+/// a [`Message`], validating magic, version, length bound, and CRC.
+pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
+    let mut r = ByteReader::new(bytes, "frame header");
+    let (kind, len) = read_header(&mut r)?;
     let payload = r.take(len)?;
     let stored = r.u32()?;
     r.finish()?;
@@ -488,10 +395,10 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
 }
 
 fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
-    let mut r = WireReader::new(payload, "payload");
+    let mut r = ByteReader::new(payload, "payload");
     let msg = match kind {
         KIND_PREDICT => {
-            let model = r.string()?;
+            let model = string(&mut r)?;
             let rows = r.u32()? as usize;
             let cols = r.u32()? as usize;
             if rows == 0 || rows > MAX_WIRE_DIM || cols == 0 || cols > MAX_WIRE_DIM {
@@ -502,19 +409,12 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
             let n = rows
                 .checked_mul(cols)
                 .ok_or_else(|| malformed(format!("request dims {rows}x{cols} overflow")))?;
-            let needed = n.checked_mul(8).ok_or_else(|| malformed("request bytes overflow"))?;
-            if needed > r.remaining() {
-                return Err(WireError::Truncated {
-                    what: "payload",
-                    needed,
-                    available: r.remaining(),
-                });
-            }
             let data = r.f64s(n)?;
             Message::Predict { model, x: Matrix::from_vec(rows, cols, data) }
         }
         KIND_PREDICTION => {
-            let n = r.count(16)?;
+            let n = r.u32()? as usize;
+            let n = r.count(n, 16)?;
             let y0_hat = r.f64s(n)?;
             let y1_hat = r.f64s(n)?;
             Message::Prediction { y0_hat, y1_hat }
@@ -523,18 +423,18 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
             let code = r.u8()?;
             let a = r.u64()?;
             let b = r.u64()?;
-            let message = r.string()?;
+            let message = string(&mut r)?;
             Message::Failure(decode_failure(code, a, b, message))
         }
         KIND_HEALTH => Message::Health,
         KIND_HEALTH_REPORT => {
-            let ready = r.u8()? != 0;
+            let ready = r.bool("health.ready")?;
             let queue_depth = r.u32()? as usize;
             let queue_max = r.u32()? as usize;
-            let n = r.count(4)?;
-            let mut models = Vec::with_capacity(n);
+            let n = r.u32()? as usize;
+            let mut models = Vec::with_capacity(r.count(n, 4)?);
             for _ in 0..n {
-                models.push(r.string()?);
+                models.push(string(&mut r)?);
             }
             Message::HealthReport(HealthReport { ready, queue_depth, queue_max, models })
         }
@@ -565,32 +465,17 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<(), WireError>
     w.flush().map_err(|e| io_fail("flush", &e))
 }
 
-/// Reads one complete frame. The header is read and validated first, so a
-/// hostile length field is rejected *before* the payload buffer is sized.
+/// Reads one complete frame into a single buffer. The header is read and
+/// validated first, so a hostile length field is rejected *before* the
+/// buffer is sized for the payload.
 pub fn read_message(r: &mut impl Read) -> Result<Message, WireError> {
     let mut header = [0u8; HEADER_LEN];
     read_exact_wire(r, &mut header, "frame header")?;
-    let mut hr = WireReader::new(&header, "frame header");
-    let magic = hr.take(4)?;
-    if magic != WIRE_MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(magic);
-        return Err(WireError::BadMagic { found });
-    }
-    let version = hr.u8()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion { found: version });
-    }
-    let _kind = hr.u8()?;
-    let len = hr.u32()? as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(WireError::FrameTooLarge { len, max: MAX_FRAME_PAYLOAD });
-    }
-    let mut rest = vec![0u8; len + CRC_LEN];
-    read_exact_wire(r, &mut rest, "frame body")?;
-    let mut frame = Vec::with_capacity(HEADER_LEN + rest.len());
+    let (_, len) = read_header(&mut ByteReader::new(&header, "frame header"))?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + len + CRC_LEN);
     frame.extend_from_slice(&header);
-    frame.extend_from_slice(&rest);
+    frame.resize(HEADER_LEN + len + CRC_LEN, 0);
+    read_exact_wire(r, frame.get_mut(HEADER_LEN..).unwrap_or_default(), "frame body")?;
     decode_message(&frame)
 }
 
@@ -988,20 +873,105 @@ mod tests {
         assert!(matches!(read_message(&mut cursor), Err(WireError::FrameTooLarge { .. })));
     }
 
+    /// Byte-layout pins: one literal frame per message kind.
+    #[test]
+    fn every_message_kind_encodes_to_its_pinned_bytes() {
+        let cases: Vec<(Message, Vec<u8>)> = vec![
+            (
+                Message::Predict { model: "m".into(), x: Matrix::from_vec(1, 2, vec![1.0, -2.0]) },
+                vec![
+                    0x89, 0x53, 0x42, 0x57, 0x01, 0x01, 0x1d, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+                    0x00, 0x6d, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                    0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0,
+                    0xeb, 0x7a, 0x19, 0x4d,
+                ],
+            ),
+            (
+                Message::Prediction { y0_hat: vec![0.5], y1_hat: vec![1.5] },
+                vec![
+                    0x89, 0x53, 0x42, 0x57, 0x01, 0x02, 0x14, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+                    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00,
+                    0x00, 0x00, 0xf8, 0x3f, 0x38, 0x12, 0xee, 0x88,
+                ],
+            ),
+            (
+                Message::Failure(SbrlError::Overloaded { depth: 9, limit: 8 }),
+                vec![
+                    0x89, 0x53, 0x42, 0x57, 0x01, 0x03, 0x15, 0x00, 0x00, 0x00, 0x03, 0x09, 0x00,
+                    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                    0x00, 0x00, 0x00, 0x00, 0x00, 0xa9, 0x67, 0xae, 0xff,
+                ],
+            ),
+            (
+                Message::Health,
+                vec![0x89, 0x53, 0x42, 0x57, 0x01, 0x04, 0, 0, 0, 0, 0xc2, 0x50, 0x53, 0x01],
+            ),
+            (
+                Message::HealthReport(HealthReport {
+                    ready: true,
+                    queue_depth: 3,
+                    queue_max: 64,
+                    models: vec!["a".into()],
+                }),
+                vec![
+                    0x89, 0x53, 0x42, 0x57, 0x01, 0x05, 0x12, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00,
+                    0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+                    0x00, 0x61, 0x3e, 0x10, 0x6b, 0x69,
+                ],
+            ),
+        ];
+        for (msg, expected) in &cases {
+            assert_eq!(&encode_message(msg).expect("encode"), expected, "frame of {msg:?}");
+            let again = encode_message(&decode_message(expected).expect("decode")).expect("encode");
+            assert_eq!(&again, expected, "re-encoded frame of {msg:?}");
+        }
+    }
+
+    /// Wraps `payload` in a frame of `kind` with a valid CRC.
+    fn frame_of(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&WIRE_MAGIC);
+        frame.push(WIRE_VERSION);
+        frame.push(kind);
+        put_u32(&mut frame, payload.len() as u32);
+        frame.extend_from_slice(payload);
+        let crc = crc32(&frame);
+        put_u32(&mut frame, crc);
+        frame
+    }
+
+    #[test]
+    fn predict_data_shorter_than_its_dims_is_truncated() {
+        let mut payload = Vec::new();
+        put_str(&mut payload, "m").expect("str");
+        put_u32(&mut payload, 2);
+        put_u32(&mut payload, 3);
+        put_f64s(&mut payload, &[1.0]);
+        assert_eq!(
+            decode_message(&frame_of(KIND_PREDICT, &payload)).unwrap_err(),
+            WireError::Truncated { what: "payload", needed: 48, available: 8 }
+        );
+    }
+
+    #[test]
+    fn a_health_report_ready_byte_other_than_0_or_1_is_malformed() {
+        let report = HealthReport { ready: true, queue_depth: 0, queue_max: 8, models: vec![] };
+        let mut frame = encode_message(&Message::HealthReport(report)).expect("encode");
+        // The ready byte opens the payload; patch it to 2 and repatch the CRC.
+        frame[HEADER_LEN] = 2;
+        let body_len = frame.len() - CRC_LEN;
+        let crc = crc32(&frame[..body_len]).to_le_bytes();
+        frame[body_len..].copy_from_slice(&crc);
+        assert!(matches!(decode_message(&frame), Err(WireError::Malformed { .. })));
+    }
+
     #[test]
     fn zero_dim_predict_payloads_are_malformed() {
         let mut payload = Vec::new();
         put_str(&mut payload, "m").expect("str");
         put_u32(&mut payload, 0);
         put_u32(&mut payload, 4);
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&WIRE_MAGIC);
-        frame.push(WIRE_VERSION);
-        frame.push(KIND_PREDICT);
-        put_u32(&mut frame, payload.len() as u32);
-        frame.extend_from_slice(&payload);
-        let crc = crc32(&frame).to_le_bytes();
-        frame.extend_from_slice(&crc);
+        let frame = frame_of(KIND_PREDICT, &payload);
         assert!(matches!(decode_message(&frame), Err(WireError::Malformed { .. })));
     }
 

@@ -16,7 +16,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use sbrl_hap::core::persist::{crc32, fixture, FORMAT_VERSION, MIN_SUPPORTED_VERSION};
+use sbrl_hap::core::codec::crc32;
+use sbrl_hap::core::persist::{fixture, FORMAT_VERSION, MIN_SUPPORTED_VERSION};
 use sbrl_hap::core::{
     FitReport, FittedModel, InferenceService, ModelRegistry, PersistError, SbrlError, ServeConfig,
 };
@@ -167,6 +168,28 @@ fn golden_v1_fixture_loads_with_defaulted_fit_report_and_identical_bits() {
     let est2 = v2.predict(&probe);
     NumericsMode::from_env().set_global();
     assert_bit_identical(&est1, &est2, "v1 vs v2 golden");
+}
+
+/// Byte-layout pins: every committed fixture decodes and re-encodes to
+/// exactly its committed bytes, so the writer cannot drift from the layout
+/// the fixtures were written in.
+#[test]
+fn committed_fixtures_re_encode_byte_for_byte() {
+    for (name, version) in [
+        ("golden_v2.sbrl", FORMAT_VERSION),
+        ("golden_v1.sbrl", 1),
+        ("registry/cfr-sbrl-hap.sbrl", FORMAT_VERSION),
+        ("registry/tarnet.sbrl", FORMAT_VERSION),
+    ] {
+        let committed = fs::read(fixture_path(name)).expect("committed fixture readable");
+        let loaded = FittedModel::from_sbrl_bytes(&committed).expect("committed fixture loads");
+        let again = if version == FORMAT_VERSION {
+            loaded.to_sbrl_bytes()
+        } else {
+            loaded.to_sbrl_bytes_versioned(version)
+        };
+        assert!(again == committed, "{name} re-encodes to different bytes");
+    }
 }
 
 /// Version skew, future side: an artifact stamped with a not-yet-invented
