@@ -1,10 +1,11 @@
 //! Allocation-count and thread-spawn probes: a warmed-up two-phase SBRL-HAP
 //! optimisation step — the exact per-iteration structure of
 //! `sbrl-core`'s trainer (network phase + weight phase, reusable tape,
-//! recycled bindings/context/scratch) — must perform **zero** heap
-//! allocations (under `Parallelism::Serial`), and once the persistent
-//! worker pool is warm the parallel path must spawn **zero** new threads
-//! per step.
+//! recycled bindings/context and the per-fit weight-phase scratch with its
+//! per-term tapes) — must perform **zero** heap allocations (under
+//! `Parallelism::Serial`), and once the persistent worker pool is warm the
+//! parallel path — including the weight phase's fork-join over its terms —
+//! must spawn **zero** new threads per step.
 //!
 //! Requires the `alloc-probe` feature, which installs the counting global
 //! allocator from `sbrl_bench::alloc_probe`:
@@ -21,11 +22,11 @@
 //! and asserts `sbrl_tensor::workers::threads_spawned()` stays flat.
 
 use sbrl_bench::alloc_probe;
-use sbrl_core::{weight_objective, SampleWeights, SbrlConfig};
+use sbrl_core::{weight_objective, SampleWeights, SbrlConfig, WeightPhaseScratch};
 use sbrl_data::{SyntheticConfig, SyntheticProcess};
 use sbrl_models::{select_by_treatment, Backbone, BatchContext, Cfr, CfrConfig};
 use sbrl_nn::{loss::l2_penalty, Adam, Binding, Optimizer, OutcomeLoss};
-use sbrl_stats::{HsicScratch, Rff};
+use sbrl_stats::Rff;
 use sbrl_tensor::rng::{randn, rng_from_seed};
 use sbrl_tensor::{Graph, Parallelism};
 
@@ -57,7 +58,7 @@ fn main() {
     let mut net_binding = Binding::new(model.store());
     let mut frozen_binding = Binding::new_frozen(model.store());
     let mut w_binding = weights.new_binding();
-    let mut scratch = HsicScratch::new();
+    let mut scratch = WeightPhaseScratch::new();
 
     let batch: Vec<usize> = (0..BATCH).collect();
     let tb: Vec<f64> = batch.iter().map(|&i| data.t[i]).collect();
@@ -71,7 +72,7 @@ fn main() {
                     net_binding: &mut Binding,
                     frozen_binding: &mut Binding,
                     w_binding: &mut Binding,
-                    scratch: &mut HsicScratch,
+                    scratch: &mut WeightPhaseScratch,
                     rng: &mut rand::rngs::StdRng| {
         // ---- Phase 1: network update, weights fixed (trainer shape) ----
         {
@@ -146,8 +147,13 @@ fn main() {
     // ---- Thread-spawn probe --------------------------------------------
     // The persistent worker pool replaces PR 3's per-call `thread::scope`
     // spawns. Warm it under the parallel knob, then assert that further
-    // training steps — plus a large sharded GEMM per step, well above the
-    // kernel layer's parallel gating — spawn zero new threads.
+    // training steps — whose weight phase forks its terms across the pool —
+    // plus a large sharded GEMM per step, well above the kernel layer's
+    // parallel gating, spawn zero new threads.
+    assert!(
+        scratch.active_terms() >= 2,
+        "the weight phase must fork at least two terms for the probe to cover it"
+    );
     Parallelism::Threads(4).set_global();
     let big_a = randn(&mut rng, 256, 256);
     let big_b = randn(&mut rng, 256, 256);
@@ -173,8 +179,9 @@ fn main() {
     Parallelism::Serial.set_global();
     println!(
         "threads: {spawned} spawned across {MEASURED_STEPS} warmed-up parallel steps \
-         (pool size {})",
-        sbrl_tensor::workers::pool_size()
+         (pool size {}, {} weight-phase terms forked per step)",
+        sbrl_tensor::workers::pool_size(),
+        scratch.active_terms()
     );
     assert_eq!(spawned, 0, "warmed-up parallel steps must not spawn threads");
     println!("test allocs/steady_state_steps_spawn_zero_threads ... ok");

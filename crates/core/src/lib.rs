@@ -80,7 +80,7 @@ pub use method::MethodSpec;
 pub use ood::{BlendedEstimator, OodDetector, OodDetectorConfig};
 pub use persist::{ModelRegistry, PersistError};
 pub use recovery::{FitReport, RecoveryEvent, RecoveryPolicy};
-pub use regularizers::{weight_objective, WeightLossTerms};
+pub use regularizers::{weight_objective, WeightLossTerms, WeightPhaseScratch};
 pub use serve::{InferenceService, LatencySummary, PendingPrediction, ServeConfig, SocketServer};
 pub use trainer::{FittedModel, TrainConfig, TrainReport};
 pub use weights::SampleWeights;

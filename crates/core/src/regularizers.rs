@@ -7,11 +7,26 @@
 //!   HSIC-RFF decorrelation of the last layer.
 //! * **Hierarchical-Attention Paradigm**: additional decorrelation at
 //!   `Z_r` (weight `γ2`) and every other hidden layer (weight `γ3`).
+//!
+//! The terms `α·L_B`, `γ1·L_D(Z_p)`, `γ2·L_D(Z_r)` and each `γ3·L_D(Z_o^i)`
+//! depend on one another only through the batch weights `w`, so the weight
+//! phase is a **fork-join**: each active term is built and differentiated
+//! on a pooled tape of its own, all inside one [`run_tasks`] call, and then
+//! spliced into the main tape ([`Graph::splice`]) at the position the term
+//! would have occupied had it been built there. The splices replay each term's
+//! gradient deltas into `w` in their original order, so `L_w` and `dL_w/dw`
+//! are bit-identical to building every term on the main tape, for every
+//! [`Parallelism`] setting. The subsample draws of the decorrelation terms
+//! are made serially beforehand, in the same order, so the RNG stream is
+//! unchanged too.
+
+use std::sync::{LockResult, Mutex};
 
 use rand::rngs::StdRng;
 use sbrl_models::{BatchContext, LayerTaps};
-use sbrl_stats::{decorrelation_loss_graph_scratch, ipm_weighted_graph, HsicScratch, Rff};
-use sbrl_tensor::{Graph, TensorId};
+use sbrl_stats::{decorrelation_loss_graph_planned, ipm_weighted_graph, HsicScratch, IpmKind, Rff};
+use sbrl_tensor::workers::run_tasks;
+use sbrl_tensor::{Graph, Parallelism, TensorId};
 
 use crate::config::SbrlConfig;
 
@@ -29,13 +44,71 @@ pub struct WeightLossTerms {
     pub total: TensorId,
 }
 
+/// One active term of `L_w` for the current step.
+#[derive(Clone, Copy)]
+struct TermSpec {
+    /// `true` for `α·L_B`, `false` for a `γ·L_D` decorrelation term.
+    balance: bool,
+    /// Main-tape representation the term reads.
+    z: TensorId,
+    /// The term's coefficient (`α` or a `γ`).
+    coef: f64,
+    /// Rough work estimate; the heaviest terms are claimed first.
+    cost: usize,
+}
+
+/// A term's own tape, recycled across steps.
+#[derive(Default)]
+struct TermTape {
+    tape: Graph,
+    /// Subsample plan of a decorrelation term.
+    hsic: HsicScratch,
+    /// The recorded batch-weight leaf and the scaled term of the last build.
+    built: Option<(TensorId, TensorId)>,
+}
+
+/// Per-fit scratch of the weight phase: one pooled tape (and
+/// [`HsicScratch`]) per term of `L_w`, plus the step's term list and claim
+/// order. Held across steps, it keeps the weight phase allocation-free once
+/// warm.
+#[derive(Default)]
+pub struct WeightPhaseScratch {
+    specs: Vec<TermSpec>,
+    tapes: Vec<Mutex<TermTape>>,
+    order: Vec<usize>,
+}
+
+impl WeightPhaseScratch {
+    /// Creates an empty scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of terms the last [`weight_objective`] call built on their
+    /// own tapes (the width of its fork-join).
+    pub fn active_terms(&self) -> usize {
+        self.specs.len()
+    }
+}
+
+/// Recovers a term tape from a poisoned lock (a term that panicked): the
+/// tape is reset before every build, so nothing stale survives.
+fn unpoisoned<T>(lock: LockResult<T>) -> T {
+    lock.unwrap_or_else(|e| e.into_inner())
+}
+
 /// Builds `L_w` over a forward pass's layer taps.
 ///
 /// `w` must be the *trainable* batch-weight node
-/// ([`crate::weights::SampleWeights::bind_trainable`]); the representations
-/// should come from a frozen binding so gradients stop at the taps.
-/// `scratch` is the per-fit [`HsicScratch`] shared by every decorrelation
-/// term — reusing it across steps keeps the weight phase allocation-free.
+/// ([`crate::weights::SampleWeights::bind_trainable`]). The representations
+/// are read as constants — each term's tape copies them — so no gradient
+/// reaches the taps; they should come from a frozen binding. `scratch` is
+/// the per-fit [`WeightPhaseScratch`]; reusing it across steps keeps the
+/// weight phase allocation-free.
+///
+/// The terms are built concurrently under the global [`Parallelism`] (and
+/// inline, in the same order, under `Serial`); see the module docs for why
+/// the result does not depend on it.
 #[allow(clippy::too_many_arguments)]
 pub fn weight_objective(
     g: &mut Graph,
@@ -46,37 +119,81 @@ pub fn weight_objective(
     r_w: TensorId,
     rff: &Rff,
     rng: &mut StdRng,
-    scratch: &mut HsicScratch,
+    scratch: &mut WeightPhaseScratch,
 ) -> WeightLossTerms {
+    let WeightPhaseScratch { specs, tapes, order } = scratch;
+    let with_balance = cfg.use_br && cfg.alpha > 0.0;
+    let with_independence = cfg.use_ir && cfg.gamma1 > 0.0;
+    let with_hierarchy_r = cfg.use_hap && cfg.gamma2 > 0.0;
+    let with_hierarchy_o = cfg.use_hap && cfg.gamma3 > 0.0;
+
+    // The active terms, in the order the loss adds them up.
+    specs.clear();
+    let decor = |z, coef| TermSpec { balance: false, z, coef, cost: 0 };
+    if with_balance {
+        specs.push(TermSpec { balance: true, z: taps.z_r, coef: cfg.alpha, cost: 0 });
+    }
+    if with_independence {
+        specs.push(decor(taps.z_p, cfg.gamma1));
+    }
+    if with_hierarchy_r {
+        specs.push(decor(taps.z_r, cfg.gamma2));
+    }
+    if with_hierarchy_o {
+        specs.extend(taps.z_o.iter().map(|&z| decor(z, cfg.gamma3)));
+    }
+    while tapes.len() < specs.len() {
+        tapes.push(Mutex::default());
+    }
+
+    // Plan serially: the subsample draws happen here, in the loss's order.
+    let rff_width = rff.num_functions();
+    for (spec, tape) in specs.iter_mut().zip(tapes.iter_mut()) {
+        let (rows, cols) = g.value(spec.z).shape();
+        spec.cost = if spec.balance {
+            balance_cost(cfg.ipm, rows, cols)
+        } else {
+            unpoisoned(tape.get_mut()).hsic.plan(rows, cols, &cfg.decor, rng);
+            let width = rff_width * cfg.decor.max_features.map_or(cols, |s| s.min(cols));
+            rows * width * width
+        };
+    }
+    order.clear();
+    order.extend(0..specs.len());
+    order.sort_unstable_by_key(|&t| (std::cmp::Reverse(specs[t].cost), t));
+
+    // Fork: every term on its own tape, forward and backward.
+    let main: &Graph = g;
+    let (specs, order) = (&*specs, &*order);
+    let tapes_ref = &*tapes;
+    run_tasks(specs.len(), Parallelism::global().workers(), &|i| {
+        let t = order[i];
+        let mut term = unpoisoned(tapes_ref[t].lock());
+        build_term(main, &specs[t], w, &mut term, cfg, ctx, rff);
+    });
+
+    // Join: splice the terms in the loss's order.
+    let mut built = tapes.iter_mut();
+    let mut splice_next = |g: &mut Graph| match built.next().map(|t| unpoisoned(t.get_mut())) {
+        Some(TermTape { tape, built: Some((w_leaf, loss)), .. }) => {
+            g.splice(tape.scalar(*loss), w, tape.recorded_deltas(*w_leaf))
+        }
+        _ => g.scalar_const(0.0),
+    };
     let mut total = r_w;
-
-    let balance = if cfg.use_br && cfg.alpha > 0.0 {
-        let b = ipm_weighted_graph(g, cfg.ipm, taps.z_r, w, &ctx.treated_idx, &ctx.control_idx);
-        g.scale(b, cfg.alpha)
-    } else {
-        g.scalar_const(0.0)
-    };
+    let balance = if with_balance { splice_next(g) } else { g.scalar_const(0.0) };
     total = g.add(total, balance);
-
-    let independence = if cfg.use_ir && cfg.gamma1 > 0.0 {
-        let d = decorrelation_loss_graph_scratch(g, taps.z_p, w, rff, &cfg.decor, rng, scratch);
-        g.scale(d, cfg.gamma1)
-    } else {
-        g.scalar_const(0.0)
-    };
+    let independence = if with_independence { splice_next(g) } else { g.scalar_const(0.0) };
     total = g.add(total, independence);
-
     let hierarchy = if cfg.use_hap {
         let mut h = g.scalar_const(0.0);
-        if cfg.gamma2 > 0.0 {
-            let d = decorrelation_loss_graph_scratch(g, taps.z_r, w, rff, &cfg.decor, rng, scratch);
-            let s = g.scale(d, cfg.gamma2);
+        if with_hierarchy_r {
+            let s = splice_next(g);
             h = g.add(h, s);
         }
-        if cfg.gamma3 > 0.0 {
-            for &z in &taps.z_o {
-                let d = decorrelation_loss_graph_scratch(g, z, w, rff, &cfg.decor, rng, scratch);
-                let s = g.scale(d, cfg.gamma3);
+        if with_hierarchy_o {
+            for _ in &taps.z_o {
+                let s = splice_next(g);
                 h = g.add(h, s);
             }
         }
@@ -87,6 +204,42 @@ pub fn weight_objective(
     total = g.add(total, hierarchy);
 
     WeightLossTerms { balance, independence, hierarchy, anchor: r_w, total }
+}
+
+/// Rough work of the balance term on a `rows x cols` representation (only
+/// the claim order depends on it).
+fn balance_cost(ipm: IpmKind, rows: usize, cols: usize) -> usize {
+    match ipm {
+        IpmKind::MmdLin => rows * cols,
+        IpmKind::MmdRbf { .. } => rows * rows * cols,
+        IpmKind::Wasserstein { iterations, .. } => rows * rows * (cols + 2 * iterations) / 4,
+    }
+}
+
+/// Builds one scaled term on its own tape from copies of its representation
+/// and of the batch weights, and runs its backward sweep, so the tape's
+/// recorded weight leaf holds the term's gradient deltas in arrival order.
+fn build_term(
+    main: &Graph,
+    spec: &TermSpec,
+    w: TensorId,
+    term: &mut TermTape,
+    cfg: &SbrlConfig,
+    ctx: &BatchContext,
+    rff: &Rff,
+) {
+    let t = &mut term.tape;
+    t.reset();
+    let z = t.constant_copied(main.value(spec.z));
+    let w_leaf = t.recorded_param_copied(main.value(w));
+    let raw = if spec.balance {
+        ipm_weighted_graph(t, cfg.ipm, z, w_leaf, &ctx.treated_idx, &ctx.control_idx)
+    } else {
+        decorrelation_loss_graph_planned(t, z, w_leaf, rff, &cfg.decor, &mut term.hsic)
+    };
+    let loss = t.scale(raw, spec.coef);
+    t.backward(loss);
+    term.built = Some((w_leaf, loss));
 }
 
 #[cfg(test)]
@@ -118,7 +271,7 @@ mod tests {
         let sq = g.square(shifted);
         let r_w = g.mean(sq);
         let rff = Rff::sample(&mut rng, 4);
-        let mut scratch = HsicScratch::new();
+        let mut scratch = WeightPhaseScratch::new();
         let terms =
             weight_objective(&mut g, cfg, &taps, &ctx, w, r_w, &rff, &mut rng, &mut scratch);
         (
@@ -175,7 +328,7 @@ mod tests {
         let r_w = g.mean(sq);
         let rff = Rff::sample(&mut rng, 4);
         let cfg = SbrlConfig::sbrl_hap(1.0, 1.0, 1.0, 1.0);
-        let mut scratch = HsicScratch::new();
+        let mut scratch = WeightPhaseScratch::new();
         let terms =
             weight_objective(&mut g, &cfg, &taps, &ctx, w, r_w, &rff, &mut rng, &mut scratch);
         g.backward(terms.total);

@@ -21,7 +21,7 @@ use sbrl_models::{select_by_treatment, Backbone, BatchContext};
 use sbrl_nn::{
     loss::l2_penalty, Adam, BatchIter, Binding, EarlyStopping, LrSchedule, Optimizer, OutcomeLoss,
 };
-use sbrl_stats::{HsicScratch, Rff};
+use sbrl_stats::Rff;
 use sbrl_tensor::kernels::NumericsMode;
 use sbrl_tensor::rng::rng_from_seed;
 use sbrl_tensor::{Graph, Matrix};
@@ -30,7 +30,7 @@ use crate::config::SbrlConfig;
 use crate::error::{NonFiniteTerm, SbrlError};
 use crate::faults;
 use crate::recovery::{FitReport, RecoveryEvent, RecoveryPolicy};
-use crate::regularizers::weight_objective;
+use crate::regularizers::{weight_objective, WeightPhaseScratch};
 use crate::weights::SampleWeights;
 
 /// Salt folded into the batch-shuffle seed at each recovery, so a resumed
@@ -486,7 +486,7 @@ pub(crate) fn fit_backbone<B: Backbone>(
     let mut frozen_binding = Binding::new_frozen(model.store());
     let mut w_binding = weights.new_binding();
     let mut ctx = BatchContext::default();
-    let mut scratch = HsicScratch::new();
+    let mut scratch = WeightPhaseScratch::new();
     let mut tb: Vec<f64> = Vec::with_capacity(batches.batch_size());
     let mut yb: Vec<f64> = Vec::with_capacity(batches.batch_size());
 

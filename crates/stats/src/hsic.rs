@@ -399,15 +399,24 @@ impl Default for DecorrelationConfig {
 /// Per-fit scratch space for the SBRL decorrelation regularizer.
 ///
 /// The weight-phase loss is rebuilt every optimiser step; this scratch keeps
-/// the step-invariant pieces alive across steps — currently the
-/// column-subsample permutation buffer, refilled in place with the same RNG
-/// draws as `sample_without_replacement` — so a warmed-up step allocates
-/// nothing in this module. All tensor values flow through the graph's own
-/// buffer pool, so results are bit-identical with or without a reused
-/// scratch.
+/// the step-invariant pieces alive across steps — the column-subsample
+/// permutation buffer, refilled in place with the same RNG draws as
+/// `sample_without_replacement`, and the Fourier coefficient list — so a
+/// warmed-up step allocates nothing in this module. All tensor values flow
+/// through the graph's own buffer pool, so results are bit-identical with or
+/// without a reused scratch.
+///
+/// It also carries one term's **plan** between the two steps of `L_D`:
+/// [`HsicScratch::plan`] makes the term's only RNG draws, and
+/// [`decorrelation_loss_graph_planned`] builds the term from the plan
+/// without touching an RNG — so several terms can be planned serially, in a
+/// fixed order, and then built concurrently, one scratch each.
 #[derive(Default)]
 pub struct HsicScratch {
     perm: Vec<usize>,
+    /// Columns kept by the planned subsample (`perm[..kept]`); `None` uses
+    /// the layer whole.
+    subsample: Option<usize>,
     coefs: Vec<(f64, f64)>,
 }
 
@@ -415,6 +424,20 @@ impl HsicScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Plan step of `L_D` for a `rows x cols` layer: draws the column
+    /// subsample when [`DecorrelationConfig::max_features`] caps the width
+    /// (the draws [`decorrelation_loss_graph`] makes), and otherwise draws
+    /// nothing.
+    pub fn plan(&mut self, rows: usize, cols: usize, cfg: &DecorrelationConfig, rng: &mut StdRng) {
+        self.subsample = match cfg.max_features {
+            Some(s) if rows >= 2 && cols > s => {
+                permutation_into(rng, &mut self.perm, cols);
+                Some(s)
+            }
+            _ => None,
+        };
     }
 }
 
@@ -440,9 +463,10 @@ pub fn decorrelation_loss_graph(
     decorrelation_loss_graph_scratch(g, z, w, rff, cfg, rng, &mut scratch)
 }
 
-/// [`decorrelation_loss_graph`] with an explicit per-fit [`HsicScratch`] —
-/// the allocation-free variant the trainer's weight phase uses every step.
-/// Bit-identical to the scratch-free version for the same RNG state.
+/// [`decorrelation_loss_graph`] with an explicit per-fit [`HsicScratch`]:
+/// [`HsicScratch::plan`] followed by [`decorrelation_loss_graph_planned`].
+/// Allocation-free once warm, and bit-identical to the scratch-free version
+/// for the same RNG state.
 #[allow(clippy::too_many_arguments)]
 pub fn decorrelation_loss_graph_scratch(
     g: &mut Graph,
@@ -454,18 +478,31 @@ pub fn decorrelation_loss_graph_scratch(
     scratch: &mut HsicScratch,
 ) -> TensorId {
     let (n, d_full) = g.value(z).shape();
+    scratch.plan(n, d_full, cfg, rng);
+    decorrelation_loss_graph_planned(g, z, w, rff, cfg, scratch)
+}
+
+/// Build step of `L_D(Z, w)`: the loss of [`decorrelation_loss_graph`] on
+/// the column subsample `scratch` was last planned with
+/// ([`HsicScratch::plan`], which must have seen `z`'s shape and `cfg`). It
+/// draws no random numbers.
+pub fn decorrelation_loss_graph_planned(
+    g: &mut Graph,
+    z: TensorId,
+    w: TensorId,
+    rff: &Rff,
+    cfg: &DecorrelationConfig,
+    scratch: &mut HsicScratch,
+) -> TensorId {
+    let (n, d_full) = g.value(z).shape();
     if n < 2 || d_full < 1 {
         return g.scalar_const(0.0);
     }
 
-    // Column subsample for wide layers (identical RNG draws to
-    // `sample_without_replacement`, buffer reused across steps).
-    let z = match cfg.max_features {
-        Some(s) if d_full > s => {
-            permutation_into(rng, &mut scratch.perm, d_full);
-            g.gather_cols(z, &scratch.perm[..s])
-        }
-        _ => z,
+    // Column subsample for wide layers, as planned.
+    let z = match scratch.subsample {
+        Some(s) => g.gather_cols(z, &scratch.perm[..s]),
+        None => z,
     };
     let d = g.value(z).cols();
     if d < 2 && !cfg.include_diagonal {

@@ -198,8 +198,7 @@ fn sinkhorn_graph(
         let kv = g.matmul(k, v);
         let kv_safe = g.add_scalar(kv, eps);
         u = g.div(a, kv_safe);
-        let kt = g.transpose(k);
-        let ktu = g.matmul(kt, u);
+        let ktu = g.matmul_tn(k, u);
         let ktu_safe = g.add_scalar(ktu, eps);
         v = g.div(b, ktu_safe);
     }

@@ -17,6 +17,16 @@
 //! number it produces is bit-identical to a loop that builds a fresh
 //! [`Graph::new`] per step (same arithmetic, different memory).
 //!
+//! A scalar term can also be built **on a tape of its own** and spliced in:
+//! its input enters the sub-tape as a [`Graph::recorded_param_copied`] leaf,
+//! which keeps every incoming gradient delta in arrival order instead of
+//! summing them, and [`Graph::splice`] records the term's value on the main
+//! tape together with those deltas. The splice node's backward replays them
+//! through the ordinary accumulation, so the input receives exactly the
+//! additions it would have received had the term been built in place —
+//! which lets independent terms be built and differentiated on other
+//! threads without changing a bit.
+//!
 //! Typical use (one optimisation step = one reset):
 //!
 //! ```
@@ -133,6 +143,12 @@ pub(crate) enum Op {
     MulScalarOf(TensorId, TensorId),
     /// Divide every element by the single value of a `1 x 1` node.
     DivScalarOf(TensorId, TensorId),
+    /// Trainable leaf that records each incoming gradient delta, in arrival
+    /// order, in the delta-list arena slot given by the field.
+    RecordedLeaf(usize),
+    /// `1 x 1` value of a term built on another tape; backward replays the
+    /// term's recorded input deltas (arena slot) into the input, in order.
+    Splice(TensorId, usize),
 }
 
 pub(crate) struct Node {
@@ -155,6 +171,10 @@ pub struct Graph {
     free_coef_lists: Vec<Vec<(f64, f64)>>,
     /// Recycled `Vec<TensorId>` scratch buffers (layer-tap lists etc.).
     free_id_bufs: Vec<Vec<TensorId>>,
+    /// Gradient-delta lists of [`Op::RecordedLeaf`] and [`Op::Splice`]
+    /// nodes, recycled across resets like the index lists.
+    delta_lists: Vec<Vec<Matrix>>,
+    free_delta_lists: Vec<Vec<Matrix>>,
 }
 
 impl Graph {
@@ -187,6 +207,12 @@ impl Graph {
         for mut list in self.coef_lists.drain(..) {
             list.clear();
             self.free_coef_lists.push(list);
+        }
+        for mut list in self.delta_lists.drain(..) {
+            for m in list.drain(..) {
+                self.pool.give(m);
+            }
+            self.free_delta_lists.push(list);
         }
     }
 
@@ -237,6 +263,13 @@ impl Graph {
         self.coef_lists.len() - 1
     }
 
+    /// Opens an empty delta list in the arena and returns its slot.
+    fn open_delta_list(&mut self) -> usize {
+        let list = self.free_delta_lists.pop().unwrap_or_default();
+        self.delta_lists.push(list);
+        self.delta_lists.len() - 1
+    }
+
     /// Pool buffer shaped like an existing node's value.
     fn take_like(&mut self, id: TensorId) -> Matrix {
         let (r, c) = self.nodes[id.0].value.shape();
@@ -272,6 +305,52 @@ impl Graph {
         let mut buf = self.pool.take(value.rows(), value.cols());
         buf.copy_from(value);
         self.push(buf, Op::Leaf, true)
+    }
+
+    /// Inserts a trainable leaf (copied into a pooled buffer) that
+    /// **records** its gradient instead of summing it: each delta a backward
+    /// sweep sends it is kept whole, in arrival order, and read back with
+    /// [`Graph::recorded_deltas`] — the input side of [`Graph::splice`].
+    /// [`Graph::grad`] stays `None` for such a leaf.
+    pub fn recorded_param_copied(&mut self, value: &Matrix) -> TensorId {
+        let mut buf = self.pool.take(value.rows(), value.cols());
+        buf.copy_from(value);
+        let list = self.open_delta_list();
+        self.push(buf, Op::RecordedLeaf(list), true)
+    }
+
+    /// The gradient deltas a [`Graph::recorded_param_copied`] leaf received
+    /// in the last backward sweep, in arrival order (empty for any other
+    /// node, or before the first sweep).
+    pub fn recorded_deltas(&self, id: TensorId) -> &[Matrix] {
+        match self.nodes[id.0].op {
+            Op::RecordedLeaf(list) => &self.delta_lists[list],
+            _ => &[],
+        }
+    }
+
+    /// Splices a scalar term that was built and differentiated on another
+    /// tape: records `value` as a `1 x 1` node depending on `input`, along
+    /// with a pooled copy of the `deltas` that term's backward sweep sent to
+    /// its copy of `input` (a [`Graph::recorded_param_copied`] leaf, read
+    /// with [`Graph::recorded_deltas`]).
+    ///
+    /// Backward replays the deltas, each scaled by the upstream gradient,
+    /// through the normal accumulation into `input`, in their original
+    /// order. When the upstream gradient is exactly `1.0` — a term summed
+    /// into the loss — the scaling is exact, so `input` receives the same
+    /// sequence of additions, and the same bits, as if the term had been
+    /// built on this tape at this position.
+    pub fn splice(&mut self, value: f64, input: TensorId, deltas: &[Matrix]) -> TensorId {
+        let list = self.open_delta_list();
+        for d in deltas {
+            let mut buf = self.pool.take(d.rows(), d.cols());
+            buf.copy_from(d);
+            self.delta_lists[list].push(buf);
+        }
+        let mut v = self.pool.take(1, 1);
+        v.as_mut_slice()[0] = value;
+        self.unary(input, v, Op::Splice(input, list))
     }
 
     /// Inserts an `n x 1` constant column from a slice (pooled).
@@ -904,6 +983,11 @@ impl Graph {
             if let Some(gm) = self.nodes[i].grad.take() {
                 self.pool.give(gm);
             }
+            if let Op::RecordedLeaf(list) = self.nodes[i].op {
+                for m in self.delta_lists[list].drain(..) {
+                    self.pool.give(m);
+                }
+            }
         }
         let mut seed = self.pool.take(1, 1);
         seed.as_mut_slice()[0] = 1.0;
@@ -927,6 +1011,10 @@ impl Graph {
             self.pool.give(delta);
             return;
         }
+        if let Op::RecordedLeaf(list) = self.nodes[target.0].op {
+            self.delta_lists[list].push(delta);
+            return;
+        }
         match &mut self.nodes[target.0].grad {
             Some(acc) => {
                 acc.add_assign(&delta);
@@ -947,7 +1035,7 @@ impl Graph {
     /// results stay bit-identical).
     fn propagate(&mut self, i: usize, g: &Matrix, op: Op) {
         match op {
-            Op::Leaf => {}
+            Op::Leaf | Op::RecordedLeaf(_) => {}
             Op::Add(a, b) => {
                 if self.requires(a) {
                     let mut d = self.take_like_grad(g);
@@ -1538,6 +1626,17 @@ impl Graph {
                     self.accumulate(s, d);
                 }
             }
+            Op::Splice(a, list) => {
+                if self.requires(a) {
+                    let gv = g.item();
+                    for k in 0..self.delta_lists[list].len() {
+                        let src = &self.delta_lists[list][k];
+                        let mut d = self.pool.take(src.rows(), src.cols());
+                        d.fill_map(src, |x| x * gv);
+                        self.accumulate(a, d);
+                    }
+                }
+            }
         }
     }
 }
@@ -1636,6 +1735,89 @@ mod tests {
         let loss = g.add(s1, s2);
         g.backward(loss);
         assert!(g.grad(w).unwrap().approx_eq(&Matrix::full(2, 2, 2.0), 1e-12));
+    }
+
+    /// A term of `x` with several internal consumers of `x`, so the order in
+    /// which its deltas reach `x` matters for the bits.
+    fn spliced_term(g: &mut Graph, x: TensorId, c: TensorId) -> TensorId {
+        let total = g.sum(x);
+        let safe = g.add_scalar(total, 1e-12);
+        let x_hat = g.div_scalar_of(x, safe);
+        let weighted = g.mul_col(c, x_hat);
+        let col_means = g.sum_axis0(weighted);
+        let sq = g.sumsq(col_means);
+        let tail = g.gather_rows(x, &[2, 0, 2]);
+        let tail_sq = g.sumsq(tail);
+        let t = g.add(sq, tail_sq);
+        g.scale(t, 0.37)
+    }
+
+    #[test]
+    fn spliced_sub_tape_reproduces_in_tape_gradient_bits() {
+        let mut rng = crate::rng::rng_from_seed(17);
+        let x0 = crate::rng::randn(&mut rng, 5, 1).map(|v| 1.0 + 0.3 * v);
+        let c0 = crate::rng::randn(&mut rng, 5, 3);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        // `x` has consumers before the term (`before`), inside it, and after
+        // it (`after`); the loss sums all three.
+        let build = |g: &mut Graph, x: TensorId, term: &dyn Fn(&mut Graph) -> TensorId| {
+            let sq = g.square(x);
+            let before = g.mean(sq);
+            let t = term(g);
+            let partial = g.add(before, t);
+            let e = g.exp(x);
+            let after = g.sum(e);
+            g.add(partial, after)
+        };
+
+        let mut reference = Graph::new();
+        let x = reference.param(x0.clone());
+        let c = reference.constant(c0.clone());
+        let loss = build(&mut reference, x, &|g| spliced_term(g, x, c));
+        reference.backward(loss);
+
+        let mut sub = Graph::new();
+        let xr = sub.recorded_param_copied(&x0);
+        let cr = sub.constant_copied(&c0);
+        let t = spliced_term(&mut sub, xr, cr);
+        sub.backward(t);
+        assert!(sub.recorded_deltas(xr).len() > 1, "the term must send several deltas");
+        assert!(sub.grad(xr).is_none(), "a recorded leaf keeps no summed gradient");
+
+        let mut main = Graph::new();
+        for _ in 0..2 {
+            // The second pass runs on a reset tape: recycled lists and buffers
+            // must give the same bits.
+            main.reset();
+            let x = main.param(x0.clone());
+            let loss_spliced =
+                build(&mut main, x, &|g| g.splice(sub.scalar(t), x, sub.recorded_deltas(xr)));
+            main.backward(loss_spliced);
+            assert_eq!(main.scalar(loss_spliced).to_bits(), reference.scalar(loss).to_bits());
+            assert_eq!(bits(main.grad(x).unwrap()), bits(reference.grad(x).unwrap()));
+        }
+
+        // A second backward sweep on the sub-tape re-records instead of
+        // appending to the previous sweep's deltas.
+        let first = sub.recorded_deltas(xr).iter().map(bits).collect::<Vec<_>>();
+        sub.backward(t);
+        assert_eq!(sub.recorded_deltas(xr).iter().map(bits).collect::<Vec<_>>(), first);
+    }
+
+    #[test]
+    fn splice_scales_replayed_deltas_by_the_upstream_gradient() {
+        let mut sub = Graph::new();
+        let xr = sub.recorded_param_copied(&Matrix::from_vec(2, 1, vec![1.0, 2.0]));
+        let t = sub.sumsq(xr); // d/dx = 2x
+        sub.backward(t);
+        let mut main = Graph::new();
+        let x = main.param(Matrix::from_vec(2, 1, vec![1.0, 2.0]));
+        let s = main.splice(sub.scalar(t), x, sub.recorded_deltas(xr));
+        let loss = main.scale(s, 3.0);
+        main.backward(loss);
+        assert_eq!(main.scalar(s), 5.0);
+        assert_eq!(main.grad(x).unwrap().as_slice(), &[6.0, 12.0]);
     }
 
     #[test]

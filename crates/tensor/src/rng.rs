@@ -8,7 +8,12 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::kernels::{effective_workers, par_for_row_chunks, Parallelism};
 use crate::matrix::Matrix;
+
+/// Minimum samples a pool worker must transform before [`randn`] shards its
+/// Box–Muller pass.
+const MIN_NORMALS_PER_WORKER: usize = 1 << 14;
 
 /// Creates a deterministic RNG from a seed.
 pub fn rng_from_seed(seed: u64) -> StdRng {
@@ -17,9 +22,19 @@ pub fn rng_from_seed(seed: u64) -> StdRng {
 
 /// Draws one standard-normal sample via the Box–Muller transform.
 pub fn sample_standard_normal(rng: &mut StdRng) -> f64 {
-    // Avoid ln(0) by nudging the lower bound of the open interval.
-    let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+    let u1 = draw_u1(rng);
     let u2: f64 = rng.random();
+    box_muller(u1, u2)
+}
+
+/// The first Box–Muller uniform, nudged off zero to avoid `ln(0)`.
+fn draw_u1(rng: &mut StdRng) -> f64 {
+    rng.random::<f64>().max(f64::MIN_POSITIVE)
+}
+
+/// The Box–Muller transform of one uniform pair.
+#[inline]
+fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
@@ -38,9 +53,31 @@ pub fn sample_bernoulli(rng: &mut StdRng, p: f64) -> bool {
     rng.random::<f64>() < p.clamp(0.0, 1.0)
 }
 
-/// A matrix with i.i.d. `N(0,1)` entries.
+/// A matrix with i.i.d. `N(0,1)` entries, filled row-major with the same
+/// draws as repeated [`sample_standard_normal`] calls.
+///
+/// The uniforms are drawn serially (the stream order is the contract); the
+/// Box–Muller transform is a pure per-element map, so it runs in row chunks
+/// on the worker pool under the global [`Parallelism`] — the bits do not
+/// depend on the setting.
 pub fn randn(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
-    Matrix::from_fn(rows, cols, |_, _| sample_standard_normal(rng))
+    randn_with(rng, rows, cols, Parallelism::global())
+}
+
+fn randn_with(rng: &mut StdRng, rows: usize, cols: usize, par: Parallelism) -> Matrix {
+    let mut out = Matrix::zeros(rows, cols);
+    let mut u2 = vec![0.0; rows * cols];
+    for (a, b) in out.as_mut_slice().iter_mut().zip(u2.iter_mut()) {
+        *a = draw_u1(rng);
+        *b = rng.random();
+    }
+    let workers = effective_workers(par, rows * cols, MIN_NORMALS_PER_WORKER);
+    par_for_row_chunks(out.as_mut_slice(), rows, cols, workers, |lo, hi, chunk| {
+        for (x, &v) in chunk.iter_mut().zip(&u2[lo * cols..hi * cols]) {
+            *x = box_muller(*x, v);
+        }
+    });
+    out
 }
 
 /// A matrix with i.i.d. `N(mean, std^2)` entries.
@@ -155,6 +192,19 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 20);
+    }
+
+    #[test]
+    fn randn_matches_serial_draws_for_every_parallelism() {
+        let (rows, cols) = (700, 50);
+        let mut rng = rng_from_seed(23);
+        let expected: Vec<u64> =
+            (0..rows * cols).map(|_| sample_standard_normal(&mut rng).to_bits()).collect();
+        for par in [Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(4)] {
+            let m = randn_with(&mut rng_from_seed(23), rows, cols, par);
+            let got: Vec<u64> = m.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expected, "{par:?}");
+        }
     }
 
     #[test]

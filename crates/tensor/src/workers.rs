@@ -20,10 +20,14 @@
 //!   writes disjoint output and is computed exactly once, so results are
 //!   identical to a serial left-to-right pass — the pool never changes a
 //!   floating-point chain in either [`NumericsMode`](crate::kernels::NumericsMode).
-//! * A claim loop never blocks on another job: if every pool thread is busy
-//!   (including the nested-parallelism case of a kernel invoked from inside
-//!   a pool worker), the submitter simply runs all of its own chunks inline.
-//!   Deadlock is impossible by construction.
+//! * A claim loop never blocks on another job: if every pool thread is busy,
+//!   the submitter simply runs all of its own chunks inline.
+//! * **Nested calls run inline.** A parallel call made from inside a pool
+//!   task (a kernel invoked by a task body, on a worker or on the submitting
+//!   thread) never publishes a job: it runs its chunks in order on the
+//!   calling thread, exactly like `workers <= 1`. The outer fork already
+//!   owns the cores, so a nested job would only add queue traffic, and
+//!   deadlock is impossible by construction.
 //!
 //! Panics inside task bodies are contained per chunk either way: the
 //! kernel-facing [`run_tasks`] re-raises them on the submitting thread,
@@ -33,6 +37,7 @@
 //! adds deterministic panic/stall hooks to the catching path (and only
 //! there); without the feature no hook code is compiled at all.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -105,6 +110,18 @@ struct Pool {
 
 static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set while this thread executes chunks of a published job; parallel
+    /// calls made meanwhile run inline (see the module docs).
+    static IN_POOL_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// True when the calling thread is running a pool task body, i.e. when a
+/// parallel call made now would be nested and therefore runs inline.
+fn in_pool_task() -> bool {
+    IN_POOL_TASK.with(Cell::get)
+}
+
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool {
@@ -145,12 +162,14 @@ fn ensure_threads(want: usize) {
     }
 }
 
-/// Claims and executes chunks of `job` until the cursor is exhausted.
+/// Claims and executes chunks of `job` until the cursor is exhausted,
+/// marking the thread as inside a pool task meanwhile.
 fn execute_claims(job: &Job) {
+    let outer = IN_POOL_TASK.with(|t| t.replace(true));
     loop {
         let i = job.next.fetch_add(1, Ordering::Relaxed);
         if i >= job.total {
-            return;
+            break;
         }
         // SAFETY: the submitter keeps the closure alive until `done == total`
         // and this chunk has not yet been counted as done.
@@ -164,6 +183,7 @@ fn execute_claims(job: &Job) {
             job.finished_cv.notify_all();
         }
     }
+    IN_POOL_TASK.with(|t| t.set(outer));
 }
 
 fn worker_loop() {
@@ -224,8 +244,7 @@ fn run_parallel(
     pool().work_cv.notify_all();
 
     // The submitter is a full participant: it claims chunks like any worker,
-    // which also guarantees forward progress when the pool is saturated or
-    // when this call is nested inside a pool worker.
+    // which also guarantees forward progress when the pool is saturated.
     execute_claims(&job);
 
     // Park until the in-flight chunks of other workers complete.
@@ -243,8 +262,9 @@ fn run_parallel(
 
 /// Runs `f(0)`, `f(1)`, …, `f(total - 1)` exactly once each across the
 /// persistent pool plus the calling thread, blocking until every call
-/// completes. `workers <= 1` (or `total <= 1`) runs everything inline on
-/// the calling thread and never touches the pool — the
+/// completes. `workers <= 1` (or `total <= 1`, or a call nested inside a
+/// pool task) runs everything inline on the calling thread and never
+/// touches the pool — the
 /// [`Parallelism::Serial`](crate::kernels::Parallelism) guarantee.
 ///
 /// Chunks are claimed dynamically, so thread assignment is
@@ -259,7 +279,7 @@ pub fn run_tasks(total: usize, workers: usize, f: &(dyn Fn(usize) + Sync)) {
     if total == 0 {
         return;
     }
-    if workers <= 1 || total == 1 {
+    if workers <= 1 || total == 1 || in_pool_task() {
         // Hot kernel path: no unwind machinery between the caller and `f`.
         for i in 0..total {
             f(i);
@@ -299,7 +319,7 @@ pub fn run_tasks_catching(
     };
     #[cfg(feature = "fault-inject")]
     let f: &(dyn Fn(usize) + Sync) = &hooked;
-    if workers <= 1 || total == 1 {
+    if workers <= 1 || total == 1 || in_pool_task() {
         let mut first_panic = None;
         for i in 0..total {
             if catch_unwind(AssertUnwindSafe(|| f(i))).is_err() && first_panic.is_none() {
@@ -397,7 +417,10 @@ mod tests {
 
     #[test]
     fn pool_threads_are_reused_across_calls() {
-        // Warm the pool, then verify repeated parallel calls spawn nothing.
+        // Warm the pool to its cap first: `threads_spawned` is process-global,
+        // and a concurrently running test may otherwise widen the pool
+        // between the warm-up and the check.
+        ensure_threads(MAX_POOL_THREADS);
         run_tasks(8, 4, &|_| {});
         let warmed = threads_spawned();
         for _ in 0..50 {
@@ -408,18 +431,29 @@ mod tests {
 
     #[test]
     fn nested_parallel_calls_complete() {
-        // A task that itself submits a parallel call must not deadlock: the
-        // inner submitter claims its own chunks when no worker is free.
+        // A task that itself submits a parallel call completes without
+        // deadlock: the inner chunks run in order on the task's own thread
+        // instead of publishing a nested job.
         let outer_hits = AtomicU32::new(0);
         let inner_hits = AtomicU32::new(0);
         run_tasks(4, 4, &|_| {
             outer_hits.fetch_add(1, Ordering::Relaxed);
-            run_tasks(4, 4, &|_| {
+            assert!(in_pool_task());
+            let me = std::thread::current().id();
+            let next = AtomicUsize::new(0);
+            run_tasks(4, 4, &|j| {
+                assert_eq!(std::thread::current().id(), me, "nested chunk left its thread");
+                assert_eq!(next.fetch_add(1, Ordering::Relaxed), j, "nested chunks out of order");
                 inner_hits.fetch_add(1, Ordering::Relaxed);
             });
+            run_tasks_catching(3, 4, &|_| {
+                assert_eq!(std::thread::current().id(), me, "nested chunk left its thread");
+            })
+            .expect("no nested task panicked");
         });
         assert_eq!(outer_hits.load(Ordering::Relaxed), 4);
         assert_eq!(inner_hits.load(Ordering::Relaxed), 16);
+        assert!(!in_pool_task(), "the task flag must be cleared after the call");
     }
 
     #[test]
