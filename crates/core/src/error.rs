@@ -75,6 +75,16 @@ pub enum SbrlError {
         /// Human-readable explanation.
         message: String,
     },
+    /// An input matrix does not have the covariate columns the model was
+    /// fitted on.
+    ShapeMismatch {
+        /// The entry point that rejected the input.
+        what: &'static str,
+        /// The model's covariate dimension.
+        expected: usize,
+        /// Columns of the rejected input.
+        got: usize,
+    },
     /// A method/backbone/framework name failed to parse.
     Parse(ParseError),
     /// A persisted model artifact could not be written, read or validated.
@@ -116,6 +126,9 @@ impl fmt::Display for SbrlError {
             }
             SbrlError::InvalidConfig { what, message } => {
                 write!(f, "invalid configuration ({what}): {message}")
+            }
+            SbrlError::ShapeMismatch { what, expected, got } => {
+                write!(f, "{what}: the model expects {expected} covariate columns, got {got}")
             }
             SbrlError::Parse(e) => write!(f, "{e}"),
             SbrlError::Persist(e) => write!(f, "persistence failure: {e}"),

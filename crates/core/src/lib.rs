@@ -80,8 +80,10 @@ pub use method::MethodSpec;
 pub use ood::{BlendedEstimator, OodDetector, OodDetectorConfig};
 pub use persist::{ModelRegistry, PersistError};
 pub use recovery::{FitReport, RecoveryEvent, RecoveryPolicy};
-pub use regularizers::{weight_objective, WeightLossTerms, WeightPhaseScratch};
+pub use regularizers::{
+    weight_objective, weight_objective_planned, WeightLossTerms, WeightPhaseScratch,
+};
 pub use serve::{InferenceService, LatencySummary, PendingPrediction, ServeConfig, SocketServer};
-pub use trainer::{FittedModel, TrainConfig, TrainReport};
+pub use trainer::{FittedModel, TrainConfig, TrainReport, Trainer};
 pub use weights::SampleWeights;
 pub use wire::{ClientConfig, HealthReport, ServeClient, WireError};

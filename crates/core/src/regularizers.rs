@@ -17,8 +17,11 @@
 //! gradient deltas into `w` in their original order, so `L_w` and `dL_w/dw`
 //! are bit-identical to building every term on the main tape, for every
 //! [`Parallelism`] setting. The subsample draws of the decorrelation terms
-//! are made serially beforehand, in the same order, so the RNG stream is
-//! unchanged too.
+//! are made serially beforehand, in the same order
+//! ([`WeightPhaseScratch::plan`]), so the RNG stream is unchanged too. The
+//! fork takes one side task besides the terms; the trainer uses it to build
+//! the next iteration's network forward ([`crate::trainer`], "The
+//! schedule").
 
 use std::sync::{LockResult, Mutex};
 
@@ -44,11 +47,19 @@ pub struct WeightLossTerms {
     pub total: TensorId,
 }
 
+/// Which entry of [`WeightLossTerms`] a term adds to.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Group {
+    /// `α·L_B`, the only term that is not a `γ·L_D` decorrelation term.
+    Balance,
+    Independence,
+    Hierarchy,
+}
+
 /// One active term of `L_w` for the current step.
 #[derive(Clone, Copy)]
 struct TermSpec {
-    /// `true` for `α·L_B`, `false` for a `γ·L_D` decorrelation term.
-    balance: bool,
+    group: Group,
     /// Main-tape representation the term reads.
     z: TensorId,
     /// The term's coefficient (`α` or a `γ`).
@@ -84,10 +95,59 @@ impl WeightPhaseScratch {
         Self::default()
     }
 
-    /// Number of terms the last [`weight_objective`] call built on their
-    /// own tapes (the width of its fork-join).
+    /// Number of terms the last [`WeightPhaseScratch::plan`] scheduled,
+    /// each built on its own tape (the width of the fork-join, not counting
+    /// the side task).
     pub fn active_terms(&self) -> usize {
         self.specs.len()
+    }
+
+    /// Plans the step's terms of `L_w` over a forward pass's layer taps (on
+    /// tape `g`): which terms are active, the column subsamples of the
+    /// decorrelation terms — the only RNG draws of the weight phase, made
+    /// here serially in the loss's order — and the order the fork claims
+    /// them in. [`weight_objective_planned`] then builds the planned terms.
+    pub fn plan(
+        &mut self,
+        g: &Graph,
+        cfg: &SbrlConfig,
+        taps: &LayerTaps,
+        rff: &Rff,
+        rng: &mut StdRng,
+    ) {
+        let WeightPhaseScratch { specs, tapes, order } = self;
+        specs.clear();
+        let term = |group, z, coef| TermSpec { group, z, coef, cost: 0 };
+        if cfg.use_br && cfg.alpha > 0.0 {
+            specs.push(term(Group::Balance, taps.z_r, cfg.alpha));
+        }
+        if cfg.use_ir && cfg.gamma1 > 0.0 {
+            specs.push(term(Group::Independence, taps.z_p, cfg.gamma1));
+        }
+        if cfg.use_hap && cfg.gamma2 > 0.0 {
+            specs.push(term(Group::Hierarchy, taps.z_r, cfg.gamma2));
+        }
+        if cfg.use_hap && cfg.gamma3 > 0.0 {
+            specs.extend(taps.z_o.iter().map(|&z| term(Group::Hierarchy, z, cfg.gamma3)));
+        }
+        while tapes.len() < specs.len() {
+            tapes.push(Mutex::default());
+        }
+
+        let rff_width = rff.num_functions();
+        for (spec, tape) in specs.iter_mut().zip(tapes.iter_mut()) {
+            let (rows, cols) = g.value(spec.z).shape();
+            spec.cost = if spec.group == Group::Balance {
+                balance_cost(cfg.ipm, rows, cols)
+            } else {
+                unpoisoned(tape.get_mut()).hsic.plan(rows, cols, &cfg.decor, rng);
+                let width = rff_width * cfg.decor.max_features.map_or(cols, |s| s.min(cols));
+                rows * width * width
+            };
+        }
+        order.clear();
+        order.extend(0..specs.len());
+        order.sort_unstable_by_key(|&t| (std::cmp::Reverse(specs[t].cost), t));
     }
 }
 
@@ -97,7 +157,8 @@ fn unpoisoned<T>(lock: LockResult<T>) -> T {
     lock.unwrap_or_else(|e| e.into_inner())
 }
 
-/// Builds `L_w` over a forward pass's layer taps.
+/// Builds `L_w` over a forward pass's layer taps: [`WeightPhaseScratch::plan`]
+/// followed by [`weight_objective_planned`] with nothing beside the terms.
 ///
 /// `w` must be the *trainable* batch-weight node
 /// ([`crate::weights::SampleWeights::bind_trainable`]). The representations
@@ -105,10 +166,6 @@ fn unpoisoned<T>(lock: LockResult<T>) -> T {
 /// reaches the taps; they should come from a frozen binding. `scratch` is
 /// the per-fit [`WeightPhaseScratch`]; reusing it across steps keeps the
 /// weight phase allocation-free.
-///
-/// The terms are built concurrently under the global [`Parallelism`] (and
-/// inline, in the same order, under `Serial`); see the module docs for why
-/// the result does not depend on it.
 #[allow(clippy::too_many_arguments)]
 pub fn weight_objective(
     g: &mut Graph,
@@ -121,86 +178,66 @@ pub fn weight_objective(
     rng: &mut StdRng,
     scratch: &mut WeightPhaseScratch,
 ) -> WeightLossTerms {
+    scratch.plan(g, cfg, taps, rff, rng);
+    weight_objective_planned(g, cfg, ctx, w, r_w, rff, scratch, &mut || {})
+}
+
+/// Builds the terms `scratch` planned (see [`weight_objective`] for `w`,
+/// `r_w` and the taps they read) and sums them into `L_w` on `g`.
+///
+/// The terms are built concurrently under the global [`Parallelism`] (and
+/// inline, in the same order, under `Serial`); see the module docs for why
+/// the result does not depend on it. `side` is one more task of the same
+/// fork, claimed first: the trainer builds the next iteration's network
+/// forward there. It must not touch `g` or anything the terms read.
+#[allow(clippy::too_many_arguments)]
+pub fn weight_objective_planned(
+    g: &mut Graph,
+    cfg: &SbrlConfig,
+    ctx: &BatchContext,
+    w: TensorId,
+    r_w: TensorId,
+    rff: &Rff,
+    scratch: &mut WeightPhaseScratch,
+    side: &mut (dyn FnMut() + Send),
+) -> WeightLossTerms {
     let WeightPhaseScratch { specs, tapes, order } = scratch;
-    let with_balance = cfg.use_br && cfg.alpha > 0.0;
-    let with_independence = cfg.use_ir && cfg.gamma1 > 0.0;
-    let with_hierarchy_r = cfg.use_hap && cfg.gamma2 > 0.0;
-    let with_hierarchy_o = cfg.use_hap && cfg.gamma3 > 0.0;
 
-    // The active terms, in the order the loss adds them up.
-    specs.clear();
-    let decor = |z, coef| TermSpec { balance: false, z, coef, cost: 0 };
-    if with_balance {
-        specs.push(TermSpec { balance: true, z: taps.z_r, coef: cfg.alpha, cost: 0 });
-    }
-    if with_independence {
-        specs.push(decor(taps.z_p, cfg.gamma1));
-    }
-    if with_hierarchy_r {
-        specs.push(decor(taps.z_r, cfg.gamma2));
-    }
-    if with_hierarchy_o {
-        specs.extend(taps.z_o.iter().map(|&z| decor(z, cfg.gamma3)));
-    }
-    while tapes.len() < specs.len() {
-        tapes.push(Mutex::default());
-    }
-
-    // Plan serially: the subsample draws happen here, in the loss's order.
-    let rff_width = rff.num_functions();
-    for (spec, tape) in specs.iter_mut().zip(tapes.iter_mut()) {
-        let (rows, cols) = g.value(spec.z).shape();
-        spec.cost = if spec.balance {
-            balance_cost(cfg.ipm, rows, cols)
-        } else {
-            unpoisoned(tape.get_mut()).hsic.plan(rows, cols, &cfg.decor, rng);
-            let width = rff_width * cfg.decor.max_features.map_or(cols, |s| s.min(cols));
-            rows * width * width
-        };
-    }
-    order.clear();
-    order.extend(0..specs.len());
-    order.sort_unstable_by_key(|&t| (std::cmp::Reverse(specs[t].cost), t));
-
-    // Fork: every term on its own tape, forward and backward.
+    // Fork: the side task, then every term on its own tape, forward and
+    // backward.
     let main: &Graph = g;
     let (specs, order) = (&*specs, &*order);
     let tapes_ref = &*tapes;
-    run_tasks(specs.len(), Parallelism::global().workers(), &|i| {
-        let t = order[i];
-        let mut term = unpoisoned(tapes_ref[t].lock());
-        build_term(main, &specs[t], w, &mut term, cfg, ctx, rff);
+    let side = Mutex::new(side);
+    run_tasks(specs.len() + 1, Parallelism::global().workers(), &|i| match i {
+        0 => (unpoisoned(side.lock()))(),
+        _ => {
+            let t = order[i - 1];
+            let mut term = unpoisoned(tapes_ref[t].lock());
+            build_term(main, &specs[t], w, &mut term, cfg, ctx, rff);
+        }
     });
 
-    // Join: splice the terms in the loss's order.
-    let mut built = tapes.iter_mut();
-    let mut splice_next = |g: &mut Graph| match built.next().map(|t| unpoisoned(t.get_mut())) {
-        Some(TermTape { tape, built: Some((w_leaf, loss)), .. }) => {
-            g.splice(tape.scalar(*loss), w, tape.recorded_deltas(*w_leaf))
-        }
-        _ => g.scalar_const(0.0),
-    };
-    let mut total = r_w;
-    let balance = if with_balance { splice_next(g) } else { g.scalar_const(0.0) };
-    total = g.add(total, balance);
-    let independence = if with_independence { splice_next(g) } else { g.scalar_const(0.0) };
-    total = g.add(total, independence);
-    let hierarchy = if cfg.use_hap {
-        let mut h = g.scalar_const(0.0);
-        if with_hierarchy_r {
-            let s = splice_next(g);
-            h = g.add(h, s);
-        }
-        if with_hierarchy_o {
-            for _ in &taps.z_o {
-                let s = splice_next(g);
-                h = g.add(h, s);
+    // Join: splice the terms in the loss's order; an inactive entry is a
+    // zero node.
+    let mut built = specs.iter().zip(tapes.iter_mut()).peekable();
+    let mut splice_next = |g: &mut Graph, group: Group| {
+        let (_, term) = built.next_if(|(spec, _)| spec.group == group)?;
+        match unpoisoned(term.get_mut()) {
+            TermTape { tape, built: Some((w_leaf, loss)), .. } => {
+                Some(g.splice(tape.scalar(*loss), w, tape.recorded_deltas(*w_leaf)))
             }
+            _ => None,
         }
-        h
-    } else {
-        g.scalar_const(0.0)
     };
+    let balance = splice_next(g, Group::Balance).unwrap_or_else(|| g.scalar_const(0.0));
+    let mut total = g.add(r_w, balance);
+    let independence = splice_next(g, Group::Independence).unwrap_or_else(|| g.scalar_const(0.0));
+    total = g.add(total, independence);
+    let mut hierarchy = g.scalar_const(0.0);
+    while let Some(s) = splice_next(g, Group::Hierarchy) {
+        hierarchy = g.add(hierarchy, s);
+    }
     total = g.add(total, hierarchy);
 
     WeightLossTerms { balance, independence, hierarchy, anchor: r_w, total }
@@ -232,7 +269,7 @@ fn build_term(
     t.reset();
     let z = t.constant_copied(main.value(spec.z));
     let w_leaf = t.recorded_param_copied(main.value(w));
-    let raw = if spec.balance {
+    let raw = if spec.group == Group::Balance {
         ipm_weighted_graph(t, cfg.ipm, z, w_leaf, &ctx.treated_idx, &ctx.control_idx)
     } else {
         decorrelation_loss_graph_planned(t, z, w_leaf, rff, &cfg.decor, &mut term.hsic)

@@ -6,20 +6,43 @@
 //!    weighted factual loss `L^w_Y` (Eq. 13) plus the backbone's own
 //!    regularizers and L2, with the sample weights held constant;
 //! 2. **Weight phase** — rebuild the forward pass with the network *frozen*
-//!    (parameters enter the tape as constants) and update the sample
-//!    weights on `L_w` (Eq. 11).
+//!    (parameters enter the tape as constants, and the backbone's
+//!    regularizers, which `L_w` never reads, are left out) and update the
+//!    sample weights on `L_w` (Eq. 11).
 //!
 //! Validation uses the unweighted factual loss; the best-evaluated iterate
 //! is restored at the end (Sec. V-C: early stopping, best iterate).
+//!
+//! **The schedule.** Iteration `i + 1`'s network forward needs the network
+//! after step `i`'s Adam update and batch `i + 1`, but not the sample
+//! weights, which enter only through its loss. So [`Trainer::step`] runs
+//! iteration `i` as:
+//!
+//! 1. network step `i`: its forward (built by step `i - 1`, or here when
+//!    there is none), batch-norm commit, loss, backward, Adam;
+//! 2. frozen forward `i` and its batch-norm commit; the `L_w` plan (the
+//!    weight phase's RNG draws); then the draw of batch `i + 1`;
+//! 3. one fork: every `L_w` term on its own tape, plus network forward
+//!    `i + 1` on the network tape; then the join, backward and the weight
+//!    update.
+//!
+//! The RNG stream is consumed in the serial order. Running statistics are
+//! committed in the serial order too — network `i`, weight `i`, network
+//! `i + 1` — because forward `i + 1`'s commit waits for step `i + 1`, after
+//! validation `i` has read the statistics. Its only other effect is the
+//! tape, so a rollback, an early stop, a watchdog timeout or the end of the
+//! budget simply drops it. `Serial` runs the same tasks inline.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use rand::rngs::StdRng;
 use sbrl_data::{CausalDataset, OutcomeKind, Scaler};
 use sbrl_metrics::{evaluate, EffectEstimate, Evaluation};
-use sbrl_models::{select_by_treatment, Backbone, BatchContext};
+use sbrl_models::{select_by_treatment, Backbone, BatchContext, ForwardMode, ForwardPass};
 use sbrl_nn::{
     loss::l2_penalty, Adam, BatchIter, Binding, EarlyStopping, LrSchedule, Optimizer, OutcomeLoss,
+    ParamHandle,
 };
 use sbrl_stats::Rff;
 use sbrl_tensor::kernels::NumericsMode;
@@ -30,8 +53,12 @@ use crate::config::SbrlConfig;
 use crate::error::{NonFiniteTerm, SbrlError};
 use crate::faults;
 use crate::recovery::{FitReport, RecoveryEvent, RecoveryPolicy};
-use crate::regularizers::{weight_objective, WeightPhaseScratch};
+use crate::regularizers::{weight_objective_planned, WeightPhaseScratch};
 use crate::weights::SampleWeights;
+
+/// Salt folded into the master seed for the trainer's own RNG stream
+/// (batching, RFF sampling, column subsampling).
+const TRAIN_SEED_SALT: u64 = 0x5b71_7a11;
 
 /// Salt folded into the batch-shuffle seed at each recovery, so a resumed
 /// run draws a fresh (but fully reproducible) batch sequence instead of
@@ -221,7 +248,36 @@ impl<B: Backbone> std::fmt::Debug for FittedModel<B> {
 
 impl<B: Backbone> FittedModel<B> {
     /// Predicted potential outcomes for raw (unstandardised) covariates.
+    ///
+    /// # Panics
+    /// When `x` does not have the model's covariate columns; use
+    /// [`FittedModel::try_predict`] for a typed error instead.
     pub fn predict(&self, x: &Matrix) -> EffectEstimate {
+        self.try_predict(x)
+            // lint: allow(panic) — documented (`# Panics`); the typed
+            // `try_predict` is the checked entry point.
+            .unwrap_or_else(|e| panic!("predict failed: {e}"))
+    }
+
+    /// [`FittedModel::predict`] with a typed error: a covariate matrix whose
+    /// column count differs from the model's input dimension returns
+    /// [`SbrlError::ShapeMismatch`] instead of panicking.
+    pub fn try_predict(&self, x: &Matrix) -> Result<EffectEstimate, SbrlError> {
+        self.check_columns("predict", x)?;
+        Ok(self.predict_checked(x))
+    }
+
+    fn check_columns(&self, what: &'static str, x: &Matrix) -> Result<(), SbrlError> {
+        let expected = self.model.export_config().in_dim();
+        match x.cols() {
+            got if got == expected => Ok(()),
+            got => Err(SbrlError::ShapeMismatch { what, expected, got }),
+        }
+    }
+
+    /// The prediction itself, for a matrix [`FittedModel::check_columns`]
+    /// accepted.
+    fn predict_checked(&self, x: &Matrix) -> EffectEstimate {
         let x = prep(&self.scaler, x);
         let n = x.rows();
         let t_dummy = vec![0.0; n];
@@ -250,9 +306,10 @@ impl<B: Backbone> FittedModel<B> {
     /// [`Parallelism`](sbrl_tensor::kernels::Parallelism) knob
     /// (`SBRL_THREADS` / available cores).
     /// # Panics
-    /// Re-raises a worker-task panic as a panic on the calling thread.
-    /// Server loops use [`FittedModel::try_predict_batched`], which
-    /// contains the panic and returns it as a typed error instead.
+    /// Re-raises a worker-task panic as a panic on the calling thread, and
+    /// panics on a column mismatch like [`FittedModel::predict`]. Server
+    /// loops use [`FittedModel::try_predict_batched`], which returns both as
+    /// typed errors instead.
     pub fn predict_batched(&self, x: &Matrix, workers: usize) -> EffectEstimate {
         self.try_predict_batched(x, workers)
             // lint: allow(panic) — documented re-raise (`# Panics`); serving
@@ -265,12 +322,14 @@ impl<B: Backbone> FittedModel<B> {
     /// ([`run_tasks_catching`](sbrl_tensor::workers::run_tasks_catching))
     /// and surfaces as [`SbrlError::WorkerPanic`] naming the shard, with
     /// the pool left fully usable — one poisoned request cannot take down
-    /// a serving loop.
+    /// a serving loop. A column mismatch is the same
+    /// [`SbrlError::ShapeMismatch`] as [`FittedModel::try_predict`]'s.
     pub fn try_predict_batched(
         &self,
         x: &Matrix,
         workers: usize,
     ) -> Result<EffectEstimate, SbrlError> {
+        self.check_columns("predict_batched", x)?;
         let n = x.rows();
         let workers = if workers == 0 {
             sbrl_tensor::kernels::Parallelism::global().workers()
@@ -288,7 +347,7 @@ impl<B: Backbone> FittedModel<B> {
         sbrl_tensor::workers::run_tasks_catching(ranges.len(), workers, &|w| {
             let (lo, hi) = ranges[w];
             let rows: Vec<usize> = (lo..hi).collect();
-            let est = self.predict(&x.select_rows(&rows));
+            let est = self.predict_checked(&x.select_rows(&rows));
             let _ = shards[w].set(est);
         })?;
         let mut y0_hat = Vec::with_capacity(n);
@@ -426,71 +485,335 @@ fn factual_loss(
     g.scalar(loss)
 }
 
+/// One iteration's mini-batch: row indices, batch context and factual
+/// targets. The trainer keeps two, so the next batch can be drawn while the
+/// current one is still in use.
+#[derive(Default)]
+struct Batch {
+    idx: Vec<usize>,
+    /// Treatments of the batch (the source [`BatchContext::rebuild`] copies).
+    t: Vec<f64>,
+    ctx: BatchContext,
+    y: Vec<f64>,
+}
+
+impl Batch {
+    fn draw(&mut self, batches: &mut BatchIter, rng: &mut StdRng, t: &[f64], y: &[f64]) {
+        let idx = batches.next_batch(rng);
+        self.idx.clear();
+        self.idx.extend_from_slice(idx);
+        self.t.clear();
+        self.t.extend(idx.iter().map(|&i| t[i]));
+        self.y.clear();
+        self.y.extend(idx.iter().map(|&i| y[i]));
+        self.ctx.rebuild(&self.t);
+    }
+}
+
+/// The network step's training forward over `batch` on `tape` (reset
+/// first). Both places that build it — inline at the top of a step, and as
+/// the side task of the previous step's weight-phase fork — call this.
+fn network_forward<B: Backbone>(
+    model: &B,
+    tape: &mut Graph,
+    binding: &mut Binding,
+    x: &Matrix,
+    batch: &Batch,
+) -> ForwardPass {
+    tape.reset();
+    binding.reset(model.store());
+    let xb = tape.constant_selected_rows(x, &batch.idx);
+    model.forward_train(tape, binding, xb, &batch.ctx)
+}
+
+/// The iteration engine behind every fit: the model, its optimisers and
+/// RNG stream, and the step state — two tapes, two batches, the parameter
+/// bindings and the weight-phase scratch — allocated once and recycled, so
+/// a warmed-up [`Trainer::step`] performs no heap allocation. The module
+/// docs give the schedule. Public so the allocation and thread-spawn
+/// probes drive the very step a fit runs.
+pub struct Trainer<'d, B: Backbone> {
+    model: B,
+    train: &'d CausalDataset,
+    sbrl: SbrlConfig,
+    cfg: TrainConfig,
+    loss_kind: OutcomeLoss,
+    scaler: Option<Scaler>,
+    y_transform: (f64, f64),
+    /// Prepared training covariates and (transformed) factual outcomes.
+    x: Matrix,
+    y: Vec<f64>,
+    weights: SampleWeights,
+    schedule: LrSchedule,
+    opt: Adam,
+    rng: StdRng,
+    batches: BatchIter,
+    rff: Rff,
+    l2_handles: Vec<ParamHandle>,
+    /// The network step's tape; between steps it holds `pending`.
+    net_tape: Graph,
+    /// The weight step's tape, reused for validation.
+    weight_tape: Graph,
+    net_binding: Binding,
+    frozen_binding: Binding,
+    w_binding: Binding,
+    scratch: WeightPhaseScratch,
+    batch: Batch,
+    next_batch: Batch,
+    /// The next step's network forward over `next_batch`, built by this
+    /// step's weight-phase fork; its batch statistics are not committed yet.
+    pending: Option<ForwardPass>,
+}
+
+impl<'d, B: Backbone> Trainer<'d, B> {
+    /// Validates the configurations and the training set and prepares a
+    /// fit of `model` on `train`: standardisation, the outcome transform,
+    /// the optimisers and the seeded batch and RFF draws.
+    pub fn new(
+        model: B,
+        train: &'d CausalDataset,
+        sbrl: &SbrlConfig,
+        cfg: &TrainConfig,
+    ) -> Result<Self, SbrlError> {
+        sbrl.validate()?;
+        cfg.validate()?;
+        train.validate()?;
+        let mut rng = rng_from_seed(cfg.seed ^ TRAIN_SEED_SALT);
+        let scaler = cfg.standardize.then(|| Scaler::fit(&train.x));
+        let x = prep(&scaler, &train.x);
+
+        // Outcome standardisation (continuous outcomes only, train statistics).
+        let n = train.n();
+        let y_transform = if cfg.standardize_outcome && train.outcome == OutcomeKind::Continuous {
+            let mean = train.yf.iter().sum::<f64>() / n as f64;
+            let var = train.yf.iter().map(|y| (y - mean) * (y - mean)).sum::<f64>() / n as f64;
+            (mean, var.sqrt().max(1e-8))
+        } else {
+            (0.0, 1.0)
+        };
+        let y = train.yf.iter().map(|y| (y - y_transform.0) / y_transform.1).collect();
+
+        let weights = SampleWeights::new(n, cfg.weight_lr);
+        let schedule = match cfg.lr_decay {
+            Some((rate, steps)) => LrSchedule::ExponentialDecay { rate, steps },
+            None => LrSchedule::Constant,
+        };
+        let opt = Adam::new(model.store(), cfg.lr).with_schedule(schedule);
+        let batches = BatchIter::new(&mut rng, n, cfg.batch_size);
+        let rff = Rff::sample(&mut rng, sbrl.rff_functions.max(1));
+        Ok(Self {
+            l2_handles: model.l2_handles(),
+            net_binding: Binding::new(model.store()),
+            frozen_binding: Binding::new_frozen(model.store()),
+            w_binding: weights.new_binding(),
+            loss_kind: loss_kind_for(train.outcome),
+            model,
+            train,
+            sbrl: *sbrl,
+            cfg: *cfg,
+            scaler,
+            y_transform,
+            x,
+            y,
+            weights,
+            schedule,
+            opt,
+            rng,
+            batches,
+            rff,
+            net_tape: Graph::new(),
+            weight_tape: Graph::new(),
+            scratch: WeightPhaseScratch::new(),
+            batch: Batch::default(),
+            next_batch: Batch::default(),
+            pending: None,
+        })
+    }
+
+    /// Runs iteration `iter` of Algorithm 1: the network step on the
+    /// weighted factual loss, then (for SBRL frameworks) the weight step on
+    /// `L_w`. When iteration `iter + 1` exists within the budget, the weight
+    /// step's fork also builds its network forward. Returns the term that
+    /// went non-finite, if any; the fit then rolls back.
+    pub fn step(&mut self, iter: usize) -> Option<NonFiniteTerm> {
+        let Self {
+            model,
+            train,
+            sbrl,
+            cfg,
+            loss_kind,
+            x,
+            y,
+            weights,
+            opt,
+            rng,
+            batches,
+            rff,
+            l2_handles,
+            net_tape,
+            weight_tape,
+            net_binding,
+            frozen_binding,
+            w_binding,
+            scratch,
+            batch,
+            next_batch,
+            pending,
+            ..
+        } = self;
+
+        // ---- Network step: update W, b with the weights fixed (Eq. 13) ----
+        let pass = match pending.take() {
+            Some(pass) => {
+                std::mem::swap(batch, next_batch);
+                pass
+            }
+            None => {
+                batch.draw(batches, rng, &train.t, y);
+                network_forward(&*model, net_tape, net_binding, x, batch)
+            }
+        };
+        let g = &mut *net_tape;
+        model.commit_batch_stats(g, &pass);
+        let fac = select_by_treatment(g, &batch.ctx, pass.y1_raw, pass.y0_raw);
+        let target = g.constant_col(&batch.y);
+        let w_node = if sbrl.weights_enabled() {
+            weights.bind_const(g, &batch.idx)
+        } else {
+            g.constant_full(batch.idx.len(), 1, 1.0)
+        };
+        let pred = loss_kind.weighted_loss(g, fac, target, w_node);
+        let with_reg = g.add(pred, pass.reg_loss);
+        let l2 = l2_penalty(g, model.store(), net_binding, l2_handles, cfg.l2);
+        let total = g.add(with_reg, l2);
+        g.give_id_buf(pass.taps.z_o);
+        // Classify *which* term diverged: the factual loss itself, or the
+        // regularizers/L2 stacked on a still-finite factual loss.
+        let pred_val = faults::poison(NonFiniteTerm::FactualLoss, iter, g.scalar(pred));
+        if !pred_val.is_finite() {
+            return Some(NonFiniteTerm::FactualLoss);
+        }
+        if !faults::poison(NonFiniteTerm::Regularizer, iter, g.scalar(total)).is_finite() {
+            return Some(NonFiniteTerm::Regularizer);
+        }
+        g.backward(total);
+        // The gradient scan runs only when its verdict can change anything
+        // — rollback enabled or a fault plan armed — so the default
+        // configuration pays nothing extra here.
+        let check_grads = cfg.recovery.max_retries > 0 || faults::any_armed();
+        if check_grads
+            && (faults::grad_poisoned(iter)
+                || net_binding.bound().any(|(_, id)| g.grad(id).is_some_and(|m| !m.all_finite())))
+        {
+            return Some(NonFiniteTerm::Gradient);
+        }
+        opt.step(model.store_mut(), g, net_binding);
+        if !sbrl.weights_enabled() {
+            return None;
+        }
+
+        // ---- Weight step: update w with the network frozen (Eq. 11) ----
+        let g = &mut *weight_tape;
+        g.reset();
+        frozen_binding.reset(model.store());
+        weights.reset_binding(w_binding);
+        let xb = g.constant_selected_rows(x, &batch.idx);
+        let frozen = model.forward_mode(g, frozen_binding, xb, &batch.ctx, ForwardMode::Frozen);
+        model.commit_batch_stats(g, &frozen);
+        let w = weights.bind_trainable(g, w_binding, &batch.idx);
+        let r_w = weights.r_w(g, w);
+        scratch.plan(g, sbrl, &frozen.taps, rff, rng);
+        // The next batch is drawn right after the plan's draws, where the
+        // next iteration would have drawn it, so its network forward can
+        // join the fork: that forward needs the updated network and the
+        // batch but not the sample weights.
+        let has_next = iter + 1 < cfg.iterations;
+        if has_next {
+            next_batch.draw(batches, rng, &train.t, y);
+        }
+        let model: &B = model;
+        let mut build_next = || {
+            if has_next {
+                *pending = Some(network_forward(model, net_tape, net_binding, x, next_batch));
+            }
+        };
+        let terms =
+            weight_objective_planned(g, sbrl, &batch.ctx, w, r_w, rff, scratch, &mut build_next);
+        g.give_id_buf(frozen.taps.z_o);
+        let lw_val = faults::poison(NonFiniteTerm::WeightObjective, iter, g.scalar(terms.total));
+        if !lw_val.is_finite() {
+            return Some(NonFiniteTerm::WeightObjective);
+        }
+        g.backward(terms.total);
+        weights.step(g, w_binding);
+        None
+    }
+
+    /// The weight phase's scratch (its fork width, for the probes).
+    pub fn weight_phase(&self) -> &WeightPhaseScratch {
+        &self.scratch
+    }
+
+    /// True when the last [`Trainer::step`] built the next step's network
+    /// forward in its weight-phase fork.
+    pub fn has_pipelined_forward(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    /// Rollback recovery: drops the pipelined forward, restores the given
+    /// checkpoint, starts fresh optimisers at the backed-off `lr` and
+    /// `clip_norm` and reseeds the batch stream for retry `retry`
+    /// (docs/ROBUSTNESS.md).
+    fn roll_back(
+        &mut self,
+        retry: usize,
+        params: &[Matrix],
+        sample_weights: Option<&[Matrix]>,
+        lr: f64,
+        clip_norm: f64,
+    ) {
+        if let Some(pass) = self.pending.take() {
+            self.net_tape.give_id_buf(pass.taps.z_o);
+        }
+        self.model.store_mut().restore(params);
+        if let Some(bw) = sample_weights {
+            self.weights.restore(bw);
+        }
+        // Fresh optimisers on purpose: stale Adam moment estimates are
+        // frequently what diverged in the first place.
+        self.opt = Adam::new(self.model.store(), lr)
+            .with_schedule(self.schedule)
+            .with_clip_norm(Some(clip_norm));
+        self.weights.reset_optimizer(self.cfg.weight_lr, LrSchedule::Constant);
+        self.rng = rng_from_seed(
+            self.cfg.seed ^ TRAIN_SEED_SALT ^ RECOVERY_SEED_SALT.wrapping_mul(retry as u64),
+        );
+        self.batches = BatchIter::new(&mut self.rng, self.train.n(), self.cfg.batch_size);
+    }
+}
+
 /// Trains `model` on `train`, early-stopping on `val`, with the SBRL /
 /// SBRL-HAP weight objective given by `sbrl`.
 ///
 /// The engine behind [`crate::Estimator::builder`], which is the public
 /// entry point.
 pub(crate) fn fit_backbone<B: Backbone>(
-    mut model: B,
+    model: B,
     train: &CausalDataset,
     val: &CausalDataset,
     sbrl: &SbrlConfig,
     cfg: &TrainConfig,
 ) -> Result<FittedModel<B>, SbrlError> {
-    sbrl.validate()?;
-    cfg.validate()?;
-    train.validate()?;
+    let started = Instant::now();
+    let mut trainer = Trainer::new(model, train, sbrl, cfg)?;
     val.validate()?;
     faults::fit_begin();
-    let started = Instant::now();
-    let loss_kind = loss_kind_for(train.outcome);
-    let mut rng = rng_from_seed(cfg.seed ^ 0x5b71_7a11);
+    let x_val = prep(&trainer.scaler, &val.x);
+    let (shift, scale) = trainer.y_transform;
+    let yf_val: Vec<f64> = val.yf.iter().map(|y| (y - shift) / scale).collect();
 
-    let scaler = cfg.standardize.then(|| Scaler::fit(&train.x));
-    let x_train = prep(&scaler, &train.x);
-    let x_val = prep(&scaler, &val.x);
-
-    // Outcome standardisation (continuous outcomes only, train statistics).
-    let y_transform = if cfg.standardize_outcome && train.outcome == OutcomeKind::Continuous {
-        let mean = train.yf.iter().sum::<f64>() / train.n() as f64;
-        let var = train.yf.iter().map(|y| (y - mean) * (y - mean)).sum::<f64>() / train.n() as f64;
-        (mean, var.sqrt().max(1e-8))
-    } else {
-        (0.0, 1.0)
-    };
-    let scale_y = |ys: &[f64]| -> Vec<f64> {
-        ys.iter().map(|y| (y - y_transform.0) / y_transform.1).collect()
-    };
-    let yf_train = scale_y(&train.yf);
-    let yf_val = scale_y(&val.yf);
-
-    let n = train.n();
-    let mut weights = SampleWeights::new(n, cfg.weight_lr);
-    let schedule = match cfg.lr_decay {
-        Some((rate, steps)) => LrSchedule::ExponentialDecay { rate, steps },
-        None => LrSchedule::Constant,
-    };
-    let mut opt = Adam::new(model.store(), cfg.lr).with_schedule(schedule);
-    let mut batches = BatchIter::new(&mut rng, n, cfg.batch_size);
     let mut stopper = EarlyStopping::new(cfg.patience);
-    let rff = Rff::sample(&mut rng, sbrl.rff_functions.max(1));
-    let l2_handles = model.l2_handles();
-
-    // Step engine state, allocated once and recycled every iteration: the
-    // reusable tape (with its buffer pool), the parameter bindings, the
-    // batch context/target scratch and the regularizer scratch. A warmed-up
-    // iteration performs no heap allocation.
-    let mut tape = Graph::new();
-    let mut net_binding = Binding::new(model.store());
-    let mut frozen_binding = Binding::new_frozen(model.store());
-    let mut w_binding = weights.new_binding();
-    let mut ctx = BatchContext::default();
-    let mut scratch = WeightPhaseScratch::new();
-    let mut tb: Vec<f64> = Vec::with_capacity(batches.batch_size());
-    let mut yb: Vec<f64> = Vec::with_capacity(batches.batch_size());
-
-    let mut best_snapshot = model.store().snapshot();
+    let mut best_snapshot = trainer.model.store().snapshot();
     let mut best_val = f64::INFINITY;
     let mut best_iter = 0usize;
     let mut val_curve = Vec::new();
@@ -501,7 +824,7 @@ pub(crate) fn fit_backbone<B: Backbone>(
     let mut lr_now = cfg.lr;
     let mut clip_now = Adam::DEFAULT_CLIP_NORM;
     let mut recoveries: Vec<RecoveryEvent> = Vec::new();
-    let mut best_weights = (cfg.recovery.max_retries > 0).then(|| weights.snapshot());
+    let mut best_weights = (cfg.recovery.max_retries > 0).then(|| trainer.weights.snapshot());
 
     for iter in 0..cfg.iterations {
         // ---- Watchdog: fail typed (not hang) past the wall-clock budget ----
@@ -513,110 +836,17 @@ pub(crate) fn fit_backbone<B: Backbone>(
             }
         }
         iterations_run = iter + 1;
-        let batch = batches.next_batch(&mut rng);
-        tb.clear();
-        tb.extend(batch.iter().map(|&i| train.t[i]));
-        yb.clear();
-        yb.extend(batch.iter().map(|&i| yf_train[i]));
-        ctx.rebuild(&tb);
-
-        // ---- Phase 1: network update with weights fixed (Eq. 13) ----
-        let mut diverged: Option<NonFiniteTerm> = None;
-        {
-            tape.reset();
-            net_binding.reset(model.store());
-            let g = &mut tape;
-            let x = g.constant_selected_rows(&x_train, batch);
-            let pass = model.train_step().forward(g, &mut net_binding, x, &ctx);
-            let fac = select_by_treatment(g, &ctx, pass.y1_raw, pass.y0_raw);
-            let target = g.constant_col(&yb);
-            let w_node = if sbrl.weights_enabled() {
-                weights.bind_const(g, batch)
-            } else {
-                g.constant_full(batch.len(), 1, 1.0)
-            };
-            let pred = loss_kind.weighted_loss(g, fac, target, w_node);
-            let with_reg = g.add(pred, pass.reg_loss);
-            let l2 = l2_penalty(g, model.store(), &mut net_binding, &l2_handles, cfg.l2);
-            let total = g.add(with_reg, l2);
-            g.give_id_buf(pass.taps.z_o);
-            // Classify *which* term diverged: the factual loss itself, or
-            // the regularizers/L2 stacked on a still-finite factual loss.
-            let pred_val = faults::poison(NonFiniteTerm::FactualLoss, iter, g.scalar(pred));
-            let total_val = if pred_val.is_finite() {
-                faults::poison(NonFiniteTerm::Regularizer, iter, g.scalar(total))
-            } else {
-                f64::NAN
-            };
-            if !pred_val.is_finite() {
-                diverged = Some(NonFiniteTerm::FactualLoss);
-            } else if !total_val.is_finite() {
-                diverged = Some(NonFiniteTerm::Regularizer);
-            } else {
-                g.backward(total);
-                // The gradient scan runs only when its verdict can change
-                // anything — rollback enabled or a fault plan armed — so
-                // the default configuration pays nothing extra here.
-                let check_grads = cfg.recovery.max_retries > 0 || faults::any_armed();
-                let grad_bad = check_grads
-                    && (faults::grad_poisoned(iter)
-                        || net_binding
-                            .bound()
-                            .any(|(_, id)| g.grad(id).is_some_and(|m| !m.all_finite())));
-                if grad_bad {
-                    diverged = Some(NonFiniteTerm::Gradient);
-                } else {
-                    opt.step(model.store_mut(), g, &net_binding);
-                }
-            }
-        }
-
-        // ---- Phase 2: weight update with the network frozen (Eq. 11) ----
-        if sbrl.weights_enabled() && diverged.is_none() {
-            tape.reset();
-            frozen_binding.reset(model.store());
-            weights.reset_binding(&mut w_binding);
-            let g = &mut tape;
-            let x = g.constant_selected_rows(&x_train, batch);
-            let pass = model.train_step().forward(g, &mut frozen_binding, x, &ctx);
-            let w = weights.bind_trainable(g, &mut w_binding, batch);
-            let r_w = weights.r_w(g, w);
-            let terms =
-                weight_objective(g, sbrl, &pass.taps, &ctx, w, r_w, &rff, &mut rng, &mut scratch);
-            g.give_id_buf(pass.taps.z_o);
-            let lw_val =
-                faults::poison(NonFiniteTerm::WeightObjective, iter, g.scalar(terms.total));
-            if !lw_val.is_finite() {
-                diverged = Some(NonFiniteTerm::WeightObjective);
-            } else {
-                g.backward(terms.total);
-                weights.step(g, &w_binding);
-            }
-        }
 
         // ---- Rollback recovery: restore the last best-validated checkpoint,
         // back off, reseed the shuffle, resume (docs/ROBUSTNESS.md) ----
-        if let Some(term) = diverged {
+        if let Some(term) = trainer.step(iter) {
             if recoveries.len() >= cfg.recovery.max_retries {
                 return Err(SbrlError::NonFiniteLoss { iteration: iter, term });
             }
             let retry = recoveries.len() + 1;
-            model.store_mut().restore(&best_snapshot);
-            if let Some(bw) = &best_weights {
-                weights.restore(bw);
-            }
             lr_now *= cfg.recovery.lr_backoff;
             clip_now *= cfg.recovery.grad_clip_escalation;
-            // Fresh optimisers on purpose: stale Adam moment estimates are
-            // frequently what diverged in the first place.
-            opt = Adam::new(model.store(), lr_now)
-                .with_schedule(schedule)
-                .with_clip_norm(Some(clip_now));
-            weights.reset_optimizer(cfg.weight_lr, LrSchedule::Constant);
-            rng = rng_from_seed(
-                cfg.seed ^ 0x5b71_7a11 ^ RECOVERY_SEED_SALT.wrapping_mul(retry as u64),
-            );
-            batches = BatchIter::new(&mut rng, n, cfg.batch_size);
+            trainer.roll_back(retry, &best_snapshot, best_weights.as_deref(), lr_now, clip_now);
             recoveries.push(RecoveryEvent {
                 iteration: iter,
                 term,
@@ -628,16 +858,19 @@ pub(crate) fn fit_backbone<B: Backbone>(
             continue;
         }
 
-        // ---- Validation / early stopping ----
+        // ---- Validation / early stopping. It reads the running statistics
+        // this iteration committed; the pipelined forward's are still
+        // pending, as in a serial schedule. ----
         if iter % cfg.eval_every == 0 || iter + 1 == cfg.iterations {
-            let vl = factual_loss(&mut tape, &model, &x_val, &val.t, &yf_val, loss_kind);
+            let Trainer { weight_tape, model, loss_kind, .. } = &mut trainer;
+            let vl = factual_loss(weight_tape, &*model, &x_val, &val.t, &yf_val, *loss_kind);
             val_curve.push((iter, vl));
             if vl.is_finite() && vl < best_val {
                 best_val = vl;
                 best_iter = iter;
                 best_snapshot = model.store().snapshot();
                 if let Some(bw) = &mut best_weights {
-                    *bw = weights.snapshot();
+                    *bw = trainer.weights.snapshot();
                 }
             }
             if stopper.update(iter, vl) {
@@ -646,6 +879,7 @@ pub(crate) fn fit_backbone<B: Backbone>(
         }
     }
 
+    let Trainer { mut model, scaler, loss_kind, y_transform, weights, .. } = trainer;
     model.store_mut().restore(&best_snapshot);
     let report = TrainReport {
         iterations_run,
@@ -798,6 +1032,38 @@ mod tests {
             &TrainConfig::smoke(),
         );
         assert!(matches!(err, Err(SbrlError::Data(DataError::EmptyTreatmentArm { .. }))));
+    }
+
+    #[test]
+    fn wrong_column_counts_are_typed_errors() {
+        let (train, val) = tiny_data();
+        let mut rng = rng_from_seed(6);
+        let model = Tarnet::new(TarnetConfig::small(train.dim()), &mut rng);
+        let fitted = super::fit_backbone(
+            model,
+            &train,
+            &val,
+            &SbrlConfig::vanilla(),
+            &TrainConfig { iterations: 10, ..TrainConfig::smoke() },
+        )
+        .unwrap();
+        let d = train.dim();
+        for cols in [d - 1, d + 1] {
+            let x = Matrix::zeros(3, cols);
+            for err in [fitted.try_predict(&x).err(), fitted.try_predict_batched(&x, 2).err()] {
+                assert!(
+                    matches!(err, Some(SbrlError::ShapeMismatch { expected, got, .. })
+                        if expected == d && got == cols),
+                    "{cols} columns: {err:?}"
+                );
+            }
+        }
+        // Zero rows of the wrong width are rejected too, by both entry points.
+        let empty = Matrix::zeros(0, d + 2);
+        assert!(fitted.try_predict_batched(&empty, 2).is_err());
+        let ok = fitted.try_predict(&val.x).expect("matching width predicts");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ok.y0_hat), bits(&fitted.predict(&val.x).y0_hat));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * `z_r` (second priority) — the balanced-representation layer `Φ`;
 //! * `z_o` (third priority) — every other hidden layer.
 
-use sbrl_nn::{BatchNorm, Binding, OutcomeLoss, ParamHandle, ParamStore};
+use sbrl_nn::{BatchNorm, BatchStats, Binding, OutcomeLoss, ParamHandle, ParamStore};
 use sbrl_tensor::{Graph, Matrix, TensorId};
 
 use crate::kind::BackboneConfig;
@@ -89,45 +89,84 @@ pub struct ForwardPass {
     /// Layer taps for the regularizers.
     pub taps: LayerTaps,
     /// Backbone-specific regularisation (scalar node; e.g. CFR's `α·IPM`,
-    /// DeR-CFR's decomposition losses; zero for TARNet).
+    /// DeR-CFR's decomposition losses). The zero node for TARNet and in
+    /// every mode but [`ForwardMode::Train`].
     pub reg_loss: TensorId,
+    /// The input batch norm's batch statistics in the training modes, for
+    /// [`Backbone::commit_batch_stats`]; `None` at inference or without
+    /// batch norm.
+    pub batch_stats: Option<BatchStats>,
+}
+
+/// Which forward pass a backbone builds. All three share one network body;
+/// they differ only in how batch norm normalises and whether the backbone's
+/// own regularisers are attached.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ForwardMode {
+    /// Serving: batch norm uses its frozen running statistics, no
+    /// regularisers.
+    Infer,
+    /// Algorithm 1's network step: batch statistics, plus the backbone's
+    /// regularisers in [`ForwardPass::reg_loss`].
+    Train,
+    /// Algorithm 1's weight step (network frozen): batch statistics as in
+    /// `Train`, so the taps are bit-identical to it, but no regularisers —
+    /// `L_w` reads only the taps.
+    Frozen,
 }
 
 /// A wrappable balanced-representation backbone.
 ///
-/// The trait separates the two forward paths by mutability:
-///
-/// * [`Backbone::forward`] is the **inference** path. It takes `&self`, never
-///   touches training-only state (batch-norm running statistics), and never
-///   emits regularisation terms, so a fitted model is an immutable artifact
-///   that can fan out across threads (the trait requires `Send + Sync`).
-/// * The **training** path lives behind the explicit [`TrainStep`] handle
-///   obtained from [`Backbone::train_step`]; it may update training-only
-///   state and attaches the backbone's own regularisation losses.
+/// Every forward pass takes `&self`: a fitted model is an immutable
+/// artifact that can fan out across threads (the trait requires
+/// `Send + Sync`), and a trainer can build the next step's training forward
+/// while another thread reads the same model. The one piece of
+/// training-only state, the batch-norm running statistics, changes only
+/// through the explicit [`Backbone::commit_batch_stats`], which the trainer
+/// calls once per training pass in the order the passes would have run
+/// serially.
 pub trait Backbone: Send + Sync {
     /// Human-readable name used in result tables ("TARNet", "CFR", ...).
     fn name(&self) -> String;
 
-    /// Inference-mode forward pass over a batch of covariates `x` (graph
-    /// node, `n x d`). `reg_loss` is always the zero scalar.
+    /// Forward pass over a batch of covariates `x` (graph node, `n x d`) in
+    /// the given [`ForwardMode`].
+    fn forward_mode(
+        &self,
+        g: &mut Graph,
+        binding: &mut Binding,
+        x: TensorId,
+        ctx: &BatchContext,
+        mode: ForwardMode,
+    ) -> ForwardPass;
+
+    /// Inference-mode forward pass; `reg_loss` is the zero scalar.
     fn forward(
         &self,
         g: &mut Graph,
         binding: &mut Binding,
         x: TensorId,
         ctx: &BatchContext,
-    ) -> ForwardPass;
+    ) -> ForwardPass {
+        self.forward_mode(g, binding, x, ctx, ForwardMode::Infer)
+    }
 
-    /// Training-mode forward pass. Implementors put batch-statistic updates
-    /// and regularisation terms here; callers should reach it through
-    /// [`Backbone::train_step`] so the mutable path stays explicit.
+    /// Training-mode forward pass with the backbone's regularisers. Leaves
+    /// the running statistics alone; see [`Backbone::commit_batch_stats`].
     fn forward_train(
-        &mut self,
+        &self,
         g: &mut Graph,
         binding: &mut Binding,
         x: TensorId,
         ctx: &BatchContext,
-    ) -> ForwardPass;
+    ) -> ForwardPass {
+        self.forward_mode(g, binding, x, ctx, ForwardMode::Train)
+    }
+
+    /// Folds a training-mode pass's batch statistics into the running
+    /// averages. `g` must be the tape `pass` was built on, not yet reset.
+    /// A no-op for passes without batch statistics.
+    fn commit_batch_stats(&mut self, g: &Graph, pass: &ForwardPass);
 
     /// The parameter store holding all trainable parameters.
     fn store(&self) -> &ParamStore;
@@ -159,13 +198,34 @@ pub trait Backbone: Send + Sync {
         }
         Ok(())
     }
+}
 
-    /// The explicit handle to the mutable training-mode forward path.
-    fn train_step(&mut self) -> TrainStep<'_, Self>
-    where
-        Self: Sized,
-    {
-        TrainStep { model: self }
+/// The optional input batch norm in `mode`: frozen running statistics at
+/// inference, batch statistics (returned for the later commit) otherwise.
+/// Shared by every backbone with an `input_bn` layer.
+pub(crate) fn input_norm(
+    bn: &Option<BatchNorm>,
+    store: &ParamStore,
+    binding: &mut Binding,
+    g: &mut Graph,
+    x: TensorId,
+    mode: ForwardMode,
+) -> (TensorId, Option<BatchStats>) {
+    match (bn, mode) {
+        (None, _) => (x, None),
+        (Some(bn), ForwardMode::Infer) => (bn.forward_infer(store, binding, g, x), None),
+        (Some(bn), ForwardMode::Train | ForwardMode::Frozen) => {
+            let (y, stats) = bn.forward_train(store, binding, g, x);
+            (y, Some(stats))
+        }
+    }
+}
+
+/// [`Backbone::commit_batch_stats`] for a backbone whose only running
+/// statistics are the `input_bn` layer's.
+pub(crate) fn commit_input_bn(bn: &mut Option<BatchNorm>, g: &Graph, pass: &ForwardPass) {
+    if let (Some(bn), Some(stats)) = (bn, pass.batch_stats) {
+        bn.commit(g, stats);
     }
 }
 
@@ -223,54 +283,24 @@ pub(crate) fn import_bn_state(
     }
 }
 
-/// Explicit train-step handle: the only sanctioned route to the
-/// training-mode forward pass, which may mutate training-only state such as
-/// batch-norm running statistics (Algorithm 1's per-iteration phases).
-pub struct TrainStep<'a, B: Backbone + ?Sized> {
-    model: &'a mut B,
-}
-
-impl<B: Backbone + ?Sized> TrainStep<'_, B> {
-    /// Training-mode forward pass through the wrapped backbone.
-    pub fn forward(
-        &mut self,
-        g: &mut Graph,
-        binding: &mut Binding,
-        x: TensorId,
-        ctx: &BatchContext,
-    ) -> ForwardPass {
-        self.model.forward_train(g, binding, x, ctx)
-    }
-
-    /// Shared view of the wrapped backbone.
-    pub fn model(&self) -> &B {
-        self.model
-    }
-}
-
 impl Backbone for Box<dyn Backbone> {
     fn name(&self) -> String {
         self.as_ref().name()
     }
 
-    fn forward(
+    fn forward_mode(
         &self,
         g: &mut Graph,
         binding: &mut Binding,
         x: TensorId,
         ctx: &BatchContext,
+        mode: ForwardMode,
     ) -> ForwardPass {
-        self.as_ref().forward(g, binding, x, ctx)
+        self.as_ref().forward_mode(g, binding, x, ctx, mode)
     }
 
-    fn forward_train(
-        &mut self,
-        g: &mut Graph,
-        binding: &mut Binding,
-        x: TensorId,
-        ctx: &BatchContext,
-    ) -> ForwardPass {
-        self.as_mut().forward_train(g, binding, x, ctx)
+    fn commit_batch_stats(&mut self, g: &Graph, pass: &ForwardPass) {
+        self.as_mut().commit_batch_stats(g, pass)
     }
 
     fn store(&self) -> &ParamStore {
@@ -343,6 +373,58 @@ mod tests {
         assert_eq!(ctx.control_idx, vec![1, 2]);
         assert_eq!(ctx.len(), 4);
         assert!(!ctx.is_empty());
+    }
+
+    /// The weight step's frozen forward must hand `L_w` exactly the taps of
+    /// the training forward while skipping the backbone's regularisers.
+    #[test]
+    fn frozen_forward_matches_training_taps_without_regularisers() {
+        use crate::{CfrConfig, DerCfrConfig, TarnetConfig};
+        use sbrl_stats::IpmKind;
+        use sbrl_tensor::rng::{randn, rng_from_seed};
+
+        let mut rng = rng_from_seed(7);
+        let arch = TarnetConfig { batch_norm: true, ..TarnetConfig::small(5) };
+        let wass = IpmKind::Wasserstein { lambda: 10.0, iterations: 5 };
+        let configs: [BackboneConfig; 3] = [
+            arch.into(),
+            CfrConfig { arch, ipm: wass, ..CfrConfig::small(5) }.into(),
+            DerCfrConfig { arch, ipm: wass, ..DerCfrConfig::small(5) }.into(),
+        ];
+        let x = randn(&mut rng, 12, 5).add_scalar(0.5);
+        let t: Vec<f64> = (0..12).map(|i| f64::from(i % 3 == 0)).collect();
+        let ctx = BatchContext::new(&t);
+        for cfg in configs {
+            let model = cfg.build(&mut rng);
+            let run = |mode| {
+                let mut g = Graph::new();
+                let mut binding = Binding::new_frozen(model.store());
+                let xc = g.constant_copied(&x);
+                let pass = model.forward_mode(&mut g, &mut binding, xc, &ctx, mode);
+                let mut ids = vec![pass.y0_raw, pass.y1_raw, pass.taps.z_r, pass.taps.z_p];
+                ids.extend(&pass.taps.z_o);
+                let bits: Vec<Vec<u64>> = ids
+                    .iter()
+                    .map(|&id| g.value(id).as_slice().iter().map(|v| v.to_bits()).collect())
+                    .collect();
+                (bits, g.scalar(pass.reg_loss), g.num_nodes(), pass.batch_stats.is_some())
+            };
+            let (train_bits, train_reg, train_nodes, train_bn) = run(ForwardMode::Train);
+            let (frozen_bits, frozen_reg, frozen_nodes, frozen_bn) = run(ForwardMode::Frozen);
+            let name = model.name();
+            assert_eq!(train_bits, frozen_bits, "{name}: frozen taps must match training");
+            assert!(train_bn && frozen_bn, "{name}: both modes normalise by batch statistics");
+            assert_eq!(frozen_reg.to_bits(), 0.0f64.to_bits(), "{name}: frozen reg_loss is zero");
+            if name == "TARNet" {
+                assert_eq!(frozen_nodes, train_nodes, "TARNet has no regulariser to skip");
+            } else {
+                assert!(train_reg > 0.0, "{name}: the training forward carries its regulariser");
+                assert!(
+                    frozen_nodes < train_nodes,
+                    "{name}: the frozen tape skips the regulariser"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use sbrl_nn::{Binding, ParamHandle, ParamStore};
 use sbrl_stats::{ipm_graph, IpmKind};
 use sbrl_tensor::{Graph, TensorId};
 
-use crate::backbone::{Backbone, BatchContext, ForwardPass};
+use crate::backbone::{Backbone, BatchContext, ForwardMode, ForwardPass};
 use crate::kind::BackboneConfig;
 use crate::tarnet::{Tarnet, TarnetConfig};
 
@@ -58,30 +58,25 @@ impl Backbone for Cfr {
         "CFR".to_string()
     }
 
-    fn forward(
+    fn forward_mode(
         &self,
         g: &mut Graph,
         binding: &mut Binding,
         x: TensorId,
         ctx: &BatchContext,
+        mode: ForwardMode,
     ) -> ForwardPass {
-        self.tarnet.forward_with_rep(g, binding, x, ctx).0
-    }
-
-    fn forward_train(
-        &mut self,
-        g: &mut Graph,
-        binding: &mut Binding,
-        x: TensorId,
-        ctx: &BatchContext,
-    ) -> ForwardPass {
-        let (mut pass, phi) = self.tarnet.forward_with_rep_train(g, binding, x, ctx);
-        if self.alpha > 0.0 {
+        let (mut pass, phi) = self.tarnet.forward_with_rep(g, binding, x, ctx, mode);
+        if mode == ForwardMode::Train && self.alpha > 0.0 {
             let ipm = ipm_graph(g, self.ipm, phi, &ctx.treated_idx, &ctx.control_idx);
             let scaled = g.scale(ipm, self.alpha);
             pass.reg_loss = g.add(pass.reg_loss, scaled);
         }
         pass
+    }
+
+    fn commit_batch_stats(&mut self, g: &Graph, pass: &ForwardPass) {
+        self.tarnet.commit_batch_stats(g, pass);
     }
 
     fn store(&self) -> &ParamStore {
@@ -121,7 +116,7 @@ mod tests {
     #[test]
     fn reg_loss_is_positive_under_imbalance() {
         let mut rng = rng_from_seed(0);
-        let mut model = Cfr::new(CfrConfig::small(4), &mut rng);
+        let model = Cfr::new(CfrConfig::small(4), &mut rng);
         let mut g = Graph::new();
         let mut binding = Binding::new(model.store());
         // Treated units shifted far from control units.
@@ -129,7 +124,7 @@ mod tests {
         let xc = randn(&mut rng, 5, 4);
         let x = g.constant(xt.vstack(&xc));
         let ctx = BatchContext::new(&[1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        let pass = model.train_step().forward(&mut g, &mut binding, x, &ctx);
+        let pass = model.forward_train(&mut g, &mut binding, x, &ctx);
         assert!(g.scalar(pass.reg_loss) > 0.0, "IPM penalty should fire");
     }
 
@@ -145,25 +140,25 @@ mod tests {
         assert_eq!(g.scalar(pass.reg_loss), 0.0);
 
         let cfg = CfrConfig { alpha: 0.0, ..CfrConfig::small(4) };
-        let mut model0 = Cfr::new(cfg, &mut rng);
+        let model0 = Cfr::new(cfg, &mut rng);
         let mut g2 = Graph::new();
         let mut b2 = Binding::new(model0.store());
         let x2 = g2.constant(randn(&mut rng, 6, 4));
-        let pass2 = model0.train_step().forward(&mut g2, &mut b2, x2, &ctx);
+        let pass2 = model0.forward_train(&mut g2, &mut b2, x2, &ctx);
         assert_eq!(g2.scalar(pass2.reg_loss), 0.0);
     }
 
     #[test]
     fn ipm_gradient_reaches_representation_weights() {
         let mut rng = rng_from_seed(2);
-        let mut model = Cfr::new(CfrConfig::small(3), &mut rng);
+        let model = Cfr::new(CfrConfig::small(3), &mut rng);
         let mut g = Graph::new();
         let mut binding = Binding::new(model.store());
         let xt = randn(&mut rng, 4, 3).add_scalar(2.0);
         let xc = randn(&mut rng, 4, 3);
         let x = g.constant(xt.vstack(&xc));
         let ctx = BatchContext::new(&[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
-        let pass = model.train_step().forward(&mut g, &mut binding, x, &ctx);
+        let pass = model.forward_train(&mut g, &mut binding, x, &ctx);
         g.backward(pass.reg_loss);
         // At least the representation weights must receive nonzero gradient.
         let any_nonzero =
@@ -200,7 +195,7 @@ mod tests {
             let mut g = Graph::new();
             let mut binding = Binding::new(model.store());
             let x = g.constant(x_all.clone());
-            let pass = model.train_step().forward(&mut g, &mut binding, x, &ctx);
+            let pass = model.forward_train(&mut g, &mut binding, x, &ctx);
             g.backward(pass.reg_loss);
             opt.step(model.store_mut(), &g, &binding);
         }

@@ -28,8 +28,8 @@ use sbrl_stats::{ipm_graph, IpmKind};
 use sbrl_tensor::{Graph, TensorId};
 
 use crate::backbone::{
-    export_bn_state, import_bn_state, select_by_treatment, Backbone, BatchContext, ForwardPass,
-    LayerTaps,
+    commit_input_bn, export_bn_state, import_bn_state, input_norm, select_by_treatment, Backbone,
+    BatchContext, ForwardMode, ForwardPass, LayerTaps,
 };
 use crate::kind::BackboneConfig;
 use crate::tarnet::TarnetConfig;
@@ -236,7 +236,13 @@ impl DerCfr {
             g.give_id_buf(out.taps);
         }
 
-        ForwardPass { y0_raw, y1_raw, taps: LayerTaps { z_o, z_r: rep_c, z_p }, reg_loss: reg }
+        ForwardPass {
+            y0_raw,
+            y1_raw,
+            taps: LayerTaps { z_o, z_r: rep_c, z_p },
+            reg_loss: reg,
+            batch_stats: None,
+        }
     }
 }
 
@@ -245,32 +251,22 @@ impl Backbone for DerCfr {
         "DeRCFR".to_string()
     }
 
-    fn forward(
+    fn forward_mode(
         &self,
         g: &mut Graph,
         binding: &mut Binding,
         x: TensorId,
         ctx: &BatchContext,
+        mode: ForwardMode,
     ) -> ForwardPass {
-        let x = match &self.input_bn {
-            Some(bn) => bn.forward_infer(&self.store, binding, g, x),
-            None => x,
-        };
-        self.body(g, binding, x, ctx, false)
+        let (x, batch_stats) = input_norm(&self.input_bn, &self.store, binding, g, x, mode);
+        let mut pass = self.body(g, binding, x, ctx, mode == ForwardMode::Train);
+        pass.batch_stats = batch_stats;
+        pass
     }
 
-    fn forward_train(
-        &mut self,
-        g: &mut Graph,
-        binding: &mut Binding,
-        x: TensorId,
-        ctx: &BatchContext,
-    ) -> ForwardPass {
-        let x = match &mut self.input_bn {
-            Some(bn) => bn.forward_train(&self.store, binding, g, x),
-            None => x,
-        };
-        self.body(g, binding, x, ctx, true)
+    fn commit_batch_stats(&mut self, g: &Graph, pass: &ForwardPass) {
+        commit_input_bn(&mut self.input_bn, g, pass);
     }
 
     fn store(&self) -> &ParamStore {
@@ -315,12 +311,12 @@ mod tests {
     #[test]
     fn forward_shapes_and_taps() {
         let mut rng = rng_from_seed(0);
-        let mut model = DerCfr::new(DerCfrConfig::small(6), &mut rng);
+        let model = DerCfr::new(DerCfrConfig::small(6), &mut rng);
         let mut g = Graph::new();
         let mut binding = Binding::new(model.store());
         let x = g.constant(randn(&mut rng, 8, 6));
         let ctx = BatchContext::new(&[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-        let pass = model.train_step().forward(&mut g, &mut binding, x, &ctx);
+        let pass = model.forward_train(&mut g, &mut binding, x, &ctx);
         assert_eq!(g.value(pass.y0_raw).shape(), (8, 1));
         assert_eq!(g.value(pass.taps.z_r).shape(), (8, 32));
         assert_eq!(g.value(pass.taps.z_p).shape(), (8, 16));
@@ -352,24 +348,24 @@ mod tests {
         let t: Vec<f64> = (0..40).map(|i| f64::from(x[(i, 0)] > 0.0)).collect();
         let ctx = BatchContext::new(&t);
 
-        let reg_at = |model: &mut DerCfr| {
+        let reg_at = |model: &DerCfr| {
             let mut g = Graph::new();
             let mut binding = Binding::new(model.store());
             let xc = g.constant(x.clone());
-            let pass = model.train_step().forward(&mut g, &mut binding, xc, &ctx);
+            let pass = model.forward_train(&mut g, &mut binding, xc, &ctx);
             g.scalar(pass.reg_loss)
         };
-        let before = reg_at(&mut model); // pure β·BCE at this config
+        let before = reg_at(&model); // pure β·BCE at this config
         let mut opt = Adam::new(model.store(), 1e-2);
         for _ in 0..80 {
             let mut g = Graph::new();
             let mut binding = Binding::new(model.store());
             let xc = g.constant(x.clone());
-            let pass = model.train_step().forward(&mut g, &mut binding, xc, &ctx);
+            let pass = model.forward_train(&mut g, &mut binding, xc, &ctx);
             g.backward(pass.reg_loss);
             opt.step(model.store_mut(), &g, &binding);
         }
-        let after = reg_at(&mut model);
+        let after = reg_at(&model);
         assert!(after < before * 0.5, "BCE should drop: {before} -> {after}");
     }
 
@@ -382,24 +378,24 @@ mod tests {
         let mut model = DerCfr::new(cfg, &mut rng);
         let x = randn(&mut rng, 10, 4);
         let ctx = BatchContext::new(&[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-        let reg_at = |model: &mut DerCfr| {
+        let reg_at = |model: &DerCfr| {
             let mut g = Graph::new();
             let mut binding = Binding::new(model.store());
             let xc = g.constant(x.clone());
-            let pass = model.train_step().forward(&mut g, &mut binding, xc, &ctx);
+            let pass = model.forward_train(&mut g, &mut binding, xc, &ctx);
             g.scalar(pass.reg_loss)
         };
-        let before = reg_at(&mut model);
+        let before = reg_at(&model);
         let mut opt = Adam::new(model.store(), 1e-2);
         for _ in 0..50 {
             let mut g = Graph::new();
             let mut binding = Binding::new(model.store());
             let xc = g.constant(x.clone());
-            let pass = model.train_step().forward(&mut g, &mut binding, xc, &ctx);
+            let pass = model.forward_train(&mut g, &mut binding, xc, &ctx);
             g.backward(pass.reg_loss);
             opt.step(model.store_mut(), &g, &binding);
         }
-        let after = reg_at(&mut model);
+        let after = reg_at(&model);
         assert!(after < before * 0.5, "orthogonality should drop: {before} -> {after}");
     }
 

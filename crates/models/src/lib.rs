@@ -20,8 +20,8 @@ pub mod kind;
 pub mod tarnet;
 
 pub use backbone::{
-    predict_potential_outcomes, select_by_treatment, Backbone, BatchContext, ForwardPass,
-    LayerTaps, TrainStep,
+    predict_potential_outcomes, select_by_treatment, Backbone, BatchContext, ForwardMode,
+    ForwardPass, LayerTaps,
 };
 pub use cfr::{Cfr, CfrConfig};
 pub use dercfr::{DerCfr, DerCfrConfig};

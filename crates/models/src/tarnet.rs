@@ -6,8 +6,8 @@ use sbrl_nn::{Activation, BatchNorm, Binding, Init, Mlp, ParamHandle, ParamStore
 use sbrl_tensor::{Graph, TensorId};
 
 use crate::backbone::{
-    export_bn_state, import_bn_state, select_by_treatment, Backbone, BatchContext, ForwardPass,
-    LayerTaps,
+    commit_input_bn, export_bn_state, import_bn_state, input_norm, select_by_treatment, Backbone,
+    BatchContext, ForwardMode, ForwardPass, LayerTaps,
 };
 use crate::kind::BackboneConfig;
 
@@ -115,7 +115,7 @@ impl Tarnet {
         &self.cfg
     }
 
-    /// Inference-mode forward shared with CFR: returns the pass plus the
+    /// Forward pass shared with CFR: returns the pass plus the
     /// representation node so CFR can attach its IPM penalty.
     pub(crate) fn forward_with_rep(
         &self,
@@ -123,28 +123,12 @@ impl Tarnet {
         binding: &mut Binding,
         x: TensorId,
         ctx: &BatchContext,
+        mode: ForwardMode,
     ) -> (ForwardPass, TensorId) {
-        let x = match &self.input_bn {
-            Some(bn) => bn.forward_infer(&self.store, binding, g, x),
-            None => x,
-        };
-        self.body(g, binding, x, ctx)
-    }
-
-    /// Training-mode forward shared with CFR (updates batch-norm running
-    /// statistics).
-    pub(crate) fn forward_with_rep_train(
-        &mut self,
-        g: &mut Graph,
-        binding: &mut Binding,
-        x: TensorId,
-        ctx: &BatchContext,
-    ) -> (ForwardPass, TensorId) {
-        let x = match &mut self.input_bn {
-            Some(bn) => bn.forward_train(&self.store, binding, g, x),
-            None => x,
-        };
-        self.body(g, binding, x, ctx)
+        let (x, batch_stats) = input_norm(&self.input_bn, &self.store, binding, g, x, mode);
+        let (mut pass, phi) = self.body(g, binding, x, ctx);
+        pass.batch_stats = batch_stats;
+        (pass, phi)
     }
 
     /// Mode-independent network body after the (optional) input batch norm.
@@ -190,6 +174,7 @@ impl Tarnet {
             y1_raw: h1.output,
             taps: LayerTaps { z_o, z_r: phi, z_p },
             reg_loss: zero,
+            batch_stats: None,
         };
         (pass, phi)
     }
@@ -210,24 +195,19 @@ impl Backbone for Tarnet {
         "TARNet".to_string()
     }
 
-    fn forward(
+    fn forward_mode(
         &self,
         g: &mut Graph,
         binding: &mut Binding,
         x: TensorId,
         ctx: &BatchContext,
+        mode: ForwardMode,
     ) -> ForwardPass {
-        self.forward_with_rep(g, binding, x, ctx).0
+        self.forward_with_rep(g, binding, x, ctx, mode).0
     }
 
-    fn forward_train(
-        &mut self,
-        g: &mut Graph,
-        binding: &mut Binding,
-        x: TensorId,
-        ctx: &BatchContext,
-    ) -> ForwardPass {
-        self.forward_with_rep_train(g, binding, x, ctx).0
+    fn commit_batch_stats(&mut self, g: &Graph, pass: &ForwardPass) {
+        commit_input_bn(&mut self.input_bn, g, pass);
     }
 
     fn store(&self) -> &ParamStore {
@@ -264,12 +244,12 @@ mod tests {
     fn forward_shapes_and_taps() {
         let mut rng = rng_from_seed(0);
         let cfg = TarnetConfig::small(5);
-        let mut model = Tarnet::new(cfg, &mut rng);
+        let model = Tarnet::new(cfg, &mut rng);
         let mut g = Graph::new();
         let mut binding = Binding::new(model.store());
         let x = g.constant(randn(&mut rng, 8, 5));
         let ctx = BatchContext::new(&[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-        let pass = model.train_step().forward(&mut g, &mut binding, x, &ctx);
+        let pass = model.forward_train(&mut g, &mut binding, x, &ctx);
         assert_eq!(g.value(pass.y0_raw).shape(), (8, 1));
         assert_eq!(g.value(pass.y1_raw).shape(), (8, 1));
         assert_eq!(g.value(pass.taps.z_r).shape(), (8, 32));
@@ -297,12 +277,12 @@ mod tests {
     fn rep_normalization_gives_unit_rows() {
         let mut rng = rng_from_seed(2);
         let cfg = TarnetConfig { rep_normalization: true, ..TarnetConfig::small(4) };
-        let mut model = Tarnet::new(cfg, &mut rng);
+        let model = Tarnet::new(cfg, &mut rng);
         let mut g = Graph::new();
         let mut binding = Binding::new(model.store());
         let x = g.constant(randn(&mut rng, 6, 4));
         let ctx = BatchContext::new(&[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-        let pass = model.train_step().forward(&mut g, &mut binding, x, &ctx);
+        let pass = model.forward_train(&mut g, &mut binding, x, &ctx);
         let phi = g.value(pass.taps.z_r);
         for i in 0..6 {
             let norm: f64 = phi.row(i).iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -313,12 +293,12 @@ mod tests {
     #[test]
     fn gradients_reach_every_parameter() {
         let mut rng = rng_from_seed(3);
-        let mut model = Tarnet::new(TarnetConfig::small(3), &mut rng);
+        let model = Tarnet::new(TarnetConfig::small(3), &mut rng);
         let mut g = Graph::new();
         let mut binding = Binding::new(model.store());
         let x = g.constant(randn(&mut rng, 6, 3));
         let ctx = BatchContext::new(&[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-        let pass = model.train_step().forward(&mut g, &mut binding, x, &ctx);
+        let pass = model.forward_train(&mut g, &mut binding, x, &ctx);
         // Train on the factual mix so both heads receive gradient.
         let fact = select_by_treatment(&mut g, &ctx, pass.y1_raw, pass.y0_raw);
         let loss = g.sumsq(fact);

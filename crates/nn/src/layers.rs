@@ -110,6 +110,14 @@ pub struct BatchNorm {
     dim: usize,
 }
 
+/// The tape nodes holding one training-mode batch-norm pass's batch mean
+/// and (biased) variance, for [`BatchNorm::commit`].
+#[derive(Clone, Copy, Debug)]
+pub struct BatchStats {
+    mean: TensorId,
+    var: TensorId,
+}
+
 impl BatchNorm {
     /// Registers batch-norm parameters for `dim` features.
     pub fn new(store: &mut ParamStore, name: &str, dim: usize) -> Self {
@@ -150,17 +158,18 @@ impl BatchNorm {
         true
     }
 
-    /// Training-mode forward pass: normalises by the batch statistics (which
-    /// flow through the tape and are differentiated) and updates the running
-    /// averages used at inference. This is the only mutating path — keep it
-    /// out of serving code.
+    /// Training-mode forward pass: normalises by the batch statistics, which
+    /// flow through the tape and are differentiated. Takes `&self`: the
+    /// running averages used at inference move only when the returned
+    /// [`BatchStats`] are handed to [`BatchNorm::commit`], so the caller
+    /// decides when (and whether) a pass counts.
     pub fn forward_train(
-        &mut self,
+        &self,
         store: &ParamStore,
         binding: &mut Binding,
         g: &mut Graph,
         x: TensorId,
-    ) -> TensorId {
+    ) -> (TensorId, BatchStats) {
         let gamma = binding.bind(store, g, self.gamma);
         let beta = binding.bind(store, g, self.beta);
         let mean = g.mean_axis0(x);
@@ -169,18 +178,23 @@ impl BatchNorm {
         let var = g.mean_axis0(sq);
         let var_eps = g.add_scalar(var, self.eps);
         let std = g.sqrt(var_eps);
-        // Track running stats outside the tape (reading the node values in
-        // place keeps the training step allocation-free).
-        let momentum = self.momentum;
-        for (rm, &mv) in self.running_mean.iter_mut().zip(g.value(mean).as_slice()) {
-            *rm = momentum * *rm + (1.0 - momentum) * mv;
-        }
-        for (rv, &vv) in self.running_var.iter_mut().zip(g.value(var).as_slice()) {
-            *rv = momentum * *rv + (1.0 - momentum) * vv;
-        }
         let normalised = g.div_row(centred, std);
         let scaled = g.mul_row(normalised, gamma);
-        g.add_row(scaled, beta)
+        (g.add_row(scaled, beta), BatchStats { mean, var })
+    }
+
+    /// Folds the batch statistics of a [`BatchNorm::forward_train`] pass into
+    /// the running averages. `g` must be the tape that pass was built on,
+    /// not yet reset; the values are read in place, so this allocates
+    /// nothing. This is the only mutating path — keep it out of serving code.
+    pub fn commit(&mut self, g: &Graph, stats: BatchStats) {
+        let momentum = self.momentum;
+        for (rm, &mv) in self.running_mean.iter_mut().zip(g.value(stats.mean).as_slice()) {
+            *rm = momentum * *rm + (1.0 - momentum) * mv;
+        }
+        for (rv, &vv) in self.running_var.iter_mut().zip(g.value(stats.var).as_slice()) {
+            *rv = momentum * *rv + (1.0 - momentum) * vv;
+        }
     }
 
     /// Inference-mode forward pass: normalises by the frozen running
@@ -361,17 +375,34 @@ mod tests {
     fn batchnorm_training_standardises_batch() {
         let mut store = ParamStore::new();
         let mut rng = rng_from_seed(3);
-        let mut bn = BatchNorm::new(&mut store, "bn", 3);
+        let bn = BatchNorm::new(&mut store, "bn", 3);
         let mut g = Graph::new();
         let mut binding = Binding::new(&store);
         let x = g.constant(randn(&mut rng, 64, 3).scale(4.0).add_scalar(10.0));
-        let y = bn.forward_train(&store, &mut binding, &mut g, x);
+        let (y, _) = bn.forward_train(&store, &mut binding, &mut g, x);
         let v = g.value(y);
         let mean = v.mean_axis0();
         let std = v.std_axis0();
         for j in 0..3 {
             assert!(mean.as_slice()[j].abs() < 1e-8);
             assert!((std.as_slice()[j] - 1.0).abs() < 1e-3);
+        }
+    }
+
+    #[test]
+    fn batchnorm_running_stats_move_only_on_commit() {
+        let mut store = ParamStore::new();
+        let mut rng = rng_from_seed(6);
+        let mut bn = BatchNorm::new(&mut store, "bn", 2);
+        let mut g = Graph::new();
+        let mut binding = Binding::new(&store);
+        let x = g.constant(randn(&mut rng, 16, 2).add_scalar(3.0));
+        let (_, stats) = bn.forward_train(&store, &mut binding, &mut g, x);
+        assert_eq!(bn.running_stats(), (&[0.0, 0.0][..], &[1.0, 1.0][..]));
+        bn.commit(&g, stats);
+        let batch_mean = g.value(x).mean_axis0();
+        for (rm, bm) in bn.running_stats().0.iter().zip(batch_mean.as_slice()) {
+            assert_eq!(rm.to_bits(), ((1.0 - 0.9) * bm).to_bits(), "one EMA step from zero");
         }
     }
 
@@ -385,7 +416,8 @@ mod tests {
             let mut g = Graph::new();
             let mut binding = Binding::new(&store);
             let x = g.constant(randn(&mut rng, 32, 2).add_scalar(5.0));
-            let _ = bn.forward_train(&store, &mut binding, &mut g, x);
+            let (_, stats) = bn.forward_train(&store, &mut binding, &mut g, x);
+            bn.commit(&g, stats);
         }
         // Eval pass on the same distribution should be roughly standardised.
         let mut g = Graph::new();

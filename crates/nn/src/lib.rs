@@ -17,7 +17,7 @@ pub mod params;
 pub mod train;
 
 pub use init::Init;
-pub use layers::{l2_normalize_rows, Activation, BatchNorm, Linear, Mlp, MlpOutput};
+pub use layers::{l2_normalize_rows, Activation, BatchNorm, BatchStats, Linear, Mlp, MlpOutput};
 pub use loss::OutcomeLoss;
 pub use optim::{Adam, LrSchedule, Optimizer, Sgd};
 pub use params::{Binding, ParamHandle, ParamStore};

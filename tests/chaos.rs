@@ -7,7 +7,8 @@
 //! Net faults index the server's response frames by write order (the
 //! counter resets on every `inject`), so each scenario arms its fault for
 //! frame 0 and fires it on the first reply. The `inject` guard serialises
-//! the suite on the global fault plan, one scenario at a time.
+//! the suite on the global fault plan, one scenario at a time: every server
+//! in this suite, faulted or not, runs while its test holds a guard.
 
 #![cfg(feature = "fault-inject")]
 
@@ -188,7 +189,11 @@ fn chaos_gauntlet_leaves_no_residue() {
     for spec in ["net-drop@0", "net-garbage@0", "net-trunc@0", "net-delay@0:20"] {
         masked_by_retry(spec);
     }
-    // No plan armed: a plain round trip still works.
+    // No plan armed: a plain round trip still works. Faults and the frame
+    // counter are process-global, so this round trip holds the injection
+    // lock too (with an empty plan); unguarded, its reply could consume a
+    // fault another test has just armed for frame 0.
+    let _guard = inject(&FaultPlan::default());
     let server = bind_server();
     let (name, dim) = first_model(&server);
     let mut client = ServeClient::connect(server.local_addr(), chaos_client());

@@ -40,6 +40,17 @@ fn fit(
         .fit(train, val)
 }
 
+/// The fault hooks are process-global, so a fit outside an injected plan
+/// could fire a fault another test has just armed. With `fault-inject` on,
+/// such fits hold the injection lock with an empty plan.
+#[cfg(feature = "fault-inject")]
+fn no_faults() -> sbrl_hap::core::FaultGuard {
+    sbrl_hap::core::inject(&sbrl_hap::core::FaultPlan::default())
+}
+
+#[cfg(not(feature = "fault-inject"))]
+fn no_faults() -> impl Sized {}
+
 fn prediction_bits(est: &sbrl_hap::metrics::EffectEstimate) -> (Vec<u64>, Vec<u64>) {
     (
         est.y0_hat.iter().map(|v| v.to_bits()).collect(),
@@ -49,6 +60,7 @@ fn prediction_bits(est: &sbrl_hap::metrics::EffectEstimate) -> (Vec<u64>, Vec<u6
 
 #[test]
 fn zero_time_budget_times_out_with_a_typed_error() {
+    let _no_faults = no_faults();
     let (train, val, _) = fixtures();
     let cfg = TrainConfig { time_budget: Some(Duration::ZERO), ..train_cfg() };
     match fit(&train, &val, cfg) {
@@ -59,6 +71,7 @@ fn zero_time_budget_times_out_with_a_typed_error() {
 
 #[test]
 fn generous_time_budget_does_not_interfere() {
+    let _no_faults = no_faults();
     let (train, val, _) = fixtures();
     let cfg = TrainConfig { time_budget: Some(Duration::from_secs(3600)), ..train_cfg() };
     let fitted = fit(&train, &val, cfg).expect("an hour is plenty for 30 iterations");
@@ -67,6 +80,7 @@ fn generous_time_budget_does_not_interfere() {
 
 #[test]
 fn malformed_recovery_policies_are_rejected_up_front() {
+    let _no_faults = no_faults();
     let (train, val, _) = fixtures();
     for (policy, what) in [
         (
@@ -92,6 +106,7 @@ fn malformed_recovery_policies_are_rejected_up_front() {
 
 #[test]
 fn default_fit_reports_are_empty_and_policy_free() {
+    let _no_faults = no_faults();
     let (train, val, _) = fixtures();
     let fitted = fit(&train, &val, train_cfg()).expect("training succeeds");
     let report = fitted.fit_report();
@@ -107,6 +122,7 @@ fn default_fit_reports_are_empty_and_policy_free() {
 /// training state, so predictions stay bit-identical to the default path.
 #[test]
 fn recovery_policy_without_faults_is_bit_identical_to_default() {
+    let _no_faults = no_faults();
     let (train, val, test) = fixtures();
     let baseline = fit(&train, &val, train_cfg()).expect("training succeeds");
     let armed_cfg = TrainConfig { recovery: RecoveryPolicy::retries(2), ..train_cfg() };
@@ -121,6 +137,7 @@ fn recovery_policy_without_faults_is_bit_identical_to_default() {
 
 #[test]
 fn builder_threads_recovery_knobs_into_the_config() {
+    let _no_faults = no_faults();
     let (train, val, _) = fixtures();
     let fitted = Estimator::builder()
         .backbone(CfrConfig::small(train.dim()))
@@ -221,7 +238,10 @@ mod injected {
     #[test]
     fn worker_panics_surface_as_typed_errors_and_the_pool_survives() {
         let (train, val, test) = fixtures();
-        let fitted = fit(&train, &val, train_cfg()).expect("training succeeds");
+        let fitted = {
+            let _no_faults = no_faults();
+            fit(&train, &val, train_cfg()).expect("training succeeds")
+        };
         {
             let _guard = inject(&plan("panic-task@0"));
             match fitted.try_predict_batched(&test.x, 4) {
